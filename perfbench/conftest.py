@@ -1,0 +1,6 @@
+"""Make the benchmark's modules and the patrolsched sources importable."""
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
