@@ -119,16 +119,18 @@ def validate_metric(dist: np.ndarray, tol: float = TRIANGLE_TOL) -> MetricReport
                     f"zero or negative distance {float(d[i, j])!r} between distinct points {i} and {j}")
 
         # d[i,k] <= (d[i,j] + d[j,k]) * (1 + tol) must hold for every j.
+        # A sum past the largest double is inf, which no distance exceeds.
         limit = 1.0 + tol
-        for j in range(n):
-            lhs = d
-            rhs = (d[:, j][:, None] + d[j, :][None, :]) * limit
-            viol = lhs > rhs
-            if viol.any():
-                for i, k in np.argwhere(viol):
-                    add("triangle", (int(i), int(j), int(k)),
-                        f"dist[{i}][{k}]={float(d[i, k])!r} exceeds "
-                        f"dist[{i}][{j}]+dist[{j}][{k}]={float(d[i, j] + d[j, k])!r}")
+        with np.errstate(over="ignore"):
+            for j in range(n):
+                lhs = d
+                rhs = (d[:, j][:, None] + d[j, :][None, :]) * limit
+                viol = lhs > rhs
+                if viol.any():
+                    for i, k in np.argwhere(viol):
+                        add("triangle", (int(i), int(j), int(k)),
+                            f"dist[{i}][{k}]={float(d[i, k])!r} exceeds "
+                            f"dist[{i}][{j}]+dist[{j}][{k}]={float(d[i, j] + d[j, k])!r}")
 
     return MetricReport(n=n, violations=tuple(violations), counts=counts)
 

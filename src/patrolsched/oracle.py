@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Sequence
 
 import numpy as np
 
 from .instance import Instance
-from .mst import minimum_spanning_tree, _normalize_subset
+from .mst import _kruskal, _normalize_subset, minimum_spanning_tree
 from .schedule import Schedule, UNBOUNDED, _cost_of_gaps, _validate_p
 
 HELD_KARP_MAX = 16
@@ -33,61 +34,86 @@ class OracleResult:
     search_bound: dict[str, Any]
 
 
-def _held_karp_value(dist: np.ndarray) -> tuple[float, list[int]]:
-    """Cheapest closed tour visiting every point of ``dist`` exactly once.
+@lru_cache(maxsize=None)
+def _held_karp_steps(k: int) -> tuple[np.ndarray, tuple[tuple[int, tuple], ...]]:
+    """Index plan of a Held-Karp table over k free points; it depends on k only.
 
-    Bitmask DP over (visited set, last point), vectorized over the last
-    point; ties in the reconstruction resolve to the lowest index.  Returns
-    (cost, order) with the order starting at local index 0.
+    Masks are grouped by popcount c and numbered within their group by
+    ``rank``.  For every c >= 2 the plan holds the group size and, per last
+    point j, the positions of the group's masks that contain bit j and the
+    ranks of those masks without bit j in group c - 1.  Only k <= 15
+    occurs, and the largest plan takes about 2 MB.
     """
-    m = dist.shape[0]
-    if m == 1:
-        return 0.0, [0]
-    full = (1 << m) - 1
-    dp = np.full((full + 1, m), np.inf)
-    dp[1, 0] = 0.0
-
-    masks = np.arange(full + 1, dtype=np.int64)
-    popcnt = np.zeros(full + 1, dtype=np.int8)
-    for b in range(m):
+    masks = np.arange(1 << k, dtype=np.int64)
+    popcnt = np.zeros(1 << k, dtype=np.int8)
+    for b in range(k):
         popcnt += ((masks >> b) & 1).astype(np.int8)
-
-    for c in range(2, m + 1):
-        layer = masks[(popcnt == c) & ((masks & 1) == 1)]
-        if layer.size == 0:
-            continue
-        for j in range(1, m):
-            bit = 1 << j
-            sel = layer[(layer & bit) != 0]
-            if sel.size == 0:
-                continue
-            prev = sel ^ bit
-            dp[sel, j] = np.min(dp[prev] + dist[:, j], axis=1)
-
-    closing = dp[full] + dist[:, 0]
-    closing[0] = np.inf
-    j = int(np.argmin(closing))
-    value = float(closing[j])
-
-    order = [j]
-    mask = full
-    while mask != (1 | (1 << j)) and j != 0:
-        prev = mask ^ (1 << j)
-        cand = dp[prev] + dist[:, j]
-        j = int(np.argmin(cand))
-        mask = prev
-        order.append(j)
-    if order[-1] != 0:
-        order.append(0)
-    order.reverse()
-    return value, order
+    by_count = [masks[popcnt == c] for c in range(k + 1)]
+    rank = np.empty(1 << k, dtype=np.int64)
+    for members in by_count:
+        rank[members] = np.arange(members.size)
+    layers = []
+    for members in by_count[2:]:
+        per_j = []
+        for j in range(k):
+            pos = np.flatnonzero(members & (1 << j))
+            per_j.append((pos.astype(np.int32),
+                          rank[members[pos] ^ (1 << j)].astype(np.int32)))
+        layers.append((members.size, tuple(per_j)))
+    rank.flags.writeable = False  # shared by every table of this size
+    return rank, tuple(layers)
 
 
+def _held_karp_table(dist: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Held-Karp table of cheapest paths from point 0 of ``dist``.
+
+    Point 0 is the fixed start, so bit i of a mask stands for point i + 1.
+    Returns ``(layers, rank)``: the cheapest path that starts at point 0,
+    visits exactly the points of ``mask`` and ends at point j + 1 costs
+    ``layers[c][j, rank[mask]]`` with c = popcount(mask), and inf when bit j
+    is not in ``mask`` (read it with ``_paths_to``).  Each popcount layer is
+    stored contiguously, so a step reads only the previous layer, which is
+    far smaller than the whole table; each (layer, j) step is one gather
+    from it and one min over the previous last point.  Every entry depends
+    only on its sub-masks, so for a mask within the first s - 1 bits the
+    first s - 1 rows equal the table of the first s points alone, bit for
+    bit.  (m-1) * 2^(m-1) entries in all.
+    """
+    k = dist.shape[0] - 1
+    rank, steps = _held_karp_steps(k)
+    first = np.full((k, k), np.inf)
+    np.fill_diagonal(first, dist[0, 1:])  # mask 1 << j has rank j in its layer
+    layers = [np.full((k, 1), np.inf), first]
+    step = dist[1:, 1:]
+    for size, per_j in steps:
+        layer = np.full((k, size), np.inf)
+        for j, (pos, src) in enumerate(per_j):
+            paths = np.take(layers[-1], src, axis=1)
+            paths += step[:, j, None]
+            layer[j, pos] = paths.min(axis=0)
+        layers.append(layer)
+    return layers, rank
+
+
+def _paths_to(table: tuple[list[np.ndarray], np.ndarray], mask: int) -> np.ndarray:
+    """Cheapest path from point 0 through exactly ``mask``, per last point 1..m-1."""
+    layers, rank = table
+    return layers[mask.bit_count()][:, rank[mask]]
+
+
+def _closing_costs(table: tuple[list[np.ndarray], np.ndarray], dist: np.ndarray,
+                   size: int) -> np.ndarray:
+    """Cost of the closed tour through points 0..size-1, per last point 1..size-1."""
+    return _paths_to(table, (1 << (size - 1)) - 1)[:size - 1] + dist[1:size, 0]
+
+
+@np.errstate(over="ignore")  # a tour too long for a double costs inf
 def held_karp_tsp(inst: Instance, subset: Sequence[int] | None = None) -> OracleResult:
     """Exact TSP over ``subset`` (at most 16 points).
 
     Fewer than two points trivially cost 0.  The witness is a Schedule
-    visiting each subset point exactly once.
+    visiting each subset point exactly once, starting at the lowest index;
+    ties in the reconstruction resolve to the lowest index.
     """
     verts = _normalize_subset(inst, subset)
     m = len(verts)
@@ -97,7 +123,21 @@ def held_karp_tsp(inst: Instance, subset: Sequence[int] | None = None) -> Oracle
     if m == 1:
         return OracleResult(0.0, Schedule((verts[0],)), bound)
     sub = inst.dist[np.ix_(verts, verts)]
-    value, order = _held_karp_value(sub)
+    table = _held_karp_table(sub)
+    closing = _closing_costs(table, sub, m)
+    j = int(np.argmin(closing))
+    value = float(closing[j])
+    if not math.isfinite(value):
+        raise ValueError(f"TSP cost is not finite ({value!r}): the distances "
+                         "are too large to sum in floating point")
+    order = [j + 1]
+    mask = (1 << (m - 1)) - 1
+    while mask != 1 << j:
+        mask ^= 1 << j
+        j = int(np.argmin(_paths_to(table, mask) + sub[1:, j + 1]))
+        order.append(j + 1)
+    order.append(0)
+    order.reverse()
     return OracleResult(value, Schedule(tuple(verts[i] for i in order)), bound)
 
 
@@ -253,16 +293,32 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
                         {"method": "set-partitions", "points": m, "parts": k})
 
 
-def _tsp_or_mst_cost(inst: Instance, verts: tuple[int, ...]) -> float:
-    """Exact TSP cost when small enough, else the (never larger) MST cost."""
-    if len(verts) <= HELD_KARP_MAX:
-        if len(verts) < 2:
-            return 0.0
-        value, _ = _held_karp_value(inst.dist[np.ix_(verts, verts)])
-        return value
-    return minimum_spanning_tree(inst, verts).cost
+def _grow_spanning_tree(
+    dist: np.ndarray, tree: tuple[np.ndarray, np.ndarray, np.ndarray],
+    old: np.ndarray, new: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
+    """MST of ``old`` + ``new`` from ``tree``, the (u, v, w) edges of MST(old).
+
+    By the cycle property MST(old + new) lies within MST(old) plus the edges
+    touching ``new``, so Kruskal runs on just those candidates, sorted by
+    (distance, u, v) like ``minimum_spanning_tree``: the tree and the cost,
+    summed in that order, are the same as a fresh MST of the union.
+    """
+    iu, iv = np.triu_indices(new.size, k=1)
+    a = np.concatenate([np.repeat(new, old.size), new[iu]])
+    b = np.concatenate([np.tile(old, new.size), new[iv]])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    us = np.concatenate([tree[0], lo])
+    vs = np.concatenate([tree[1], hi])
+    ws = np.concatenate([tree[2], dist[lo, hi]])
+    order = np.lexsort((vs, us, ws))
+    accepted = _kruskal(us[order].tolist(), vs[order].tolist(), ws[order].tolist(),
+                        len(ws), np.concatenate([old, new]).tolist())
+    tu, tv, tw = zip(*accepted)
+    return (np.array(tu), np.array(tv), np.array(tw)), float(sum(tw))
 
 
+@np.errstate(over="ignore")  # a tour too long for a double costs inf
 def lower_bound(inst: Instance) -> float:
     """Certified lower bound on the best achievable weighted max-absence.
 
@@ -274,11 +330,39 @@ def lower_bound(inst: Instance) -> float:
       above 16 points; it is never larger, so validity is preserved);
     * the full distance between any two points (some weight-1 point must
       keep returning to both sides).
+
+    The levels are computed incrementally.  Points are ranked heaviest
+    first, ties by index, so every level is a prefix of the ranking.  One
+    Held-Karp table over the largest prefix of at most 16 points, started at
+    the heaviest point, gives the exact TSP of every smaller prefix from a
+    single column.  Above 16 points one MST grows level by level: by the
+    cycle property the MST of a level lies within the previous level's tree
+    plus the edges touching the level's new points, so Kruskal re-runs on
+    just those.  Cost O(2^15 * 15^2 + n^2 log n) instead of one fresh TSP or
+    MST per level.  The MST levels equal a fresh MST bit for bit; a TSP
+    level may differ from a tour started at the lowest index by an ulp,
+    since floating-point sums depend on the start.
     """
     n = inst.n
     best = float(np.max(inst.dist)) if n > 1 else 0.0
-    weights = inst.weights
-    for w in sorted(set(weights.tolist()), reverse=True):
-        verts = tuple(int(i) for i in np.flatnonzero(weights >= w))
-        best = max(best, w * _tsp_or_mst_cost(inst, verts))
+    order = np.argsort(-inst.weights, kind="stable")
+    ranked = inst.weights[order]
+    ends = [*(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), n]
+    tsp_size = max((e for e in ends if e <= HELD_KARP_MAX), default=1)
+    tsp = {1: 0.0}
+    if tsp_size >= 2:
+        sub = inst.dist[np.ix_(order[:tsp_size], order[:tsp_size])]
+        table = _held_karp_table(sub)
+        tsp.update((e, float(np.min(_closing_costs(table, sub, e))))
+                   for e in ends if 2 <= e <= tsp_size)
+    empty = np.zeros(0, dtype=np.int64)
+    tree, covered = (empty, empty, np.zeros(0)), 0
+    for end in ends:
+        if end <= HELD_KARP_MAX:
+            cost = tsp[end]
+        else:
+            tree, cost = _grow_spanning_tree(inst.dist, tree, order[:covered],
+                                             order[covered:end])
+            covered = end
+        best = max(best, float(ranked[end - 1]) * cost)
     return float(best)

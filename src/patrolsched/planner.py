@@ -157,6 +157,11 @@ def plan(inst: Instance, eps: float = 1e-6) -> PlanResult:
     obj_inf = weighted_objective(schedule, inst, math.inf)
     obj_2 = weighted_objective(schedule, inst, 2.0)
     lb = lower_bound(inst)
+    for name, value in (("objective_inf", obj_inf), ("objective_2", obj_2),
+                        ("lower_bound", lb)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite ({value!r}): the distances "
+                             "are too large to sum in floating point")
     if lb > 0.0:
         ratio: float | None = obj_inf / lb
     else:

@@ -200,17 +200,25 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
         return _try_budget_presorted(inst, us, vs, ws, verts, k, budget)
 
     lo = ws[0] / 2.0  # below this every edge is dropped: n singletons
+    if lo == 0.0:
+        raise ValueError(f"shortest distance {ws[0]!r} is too small to bisect: "
+                         "half of it underflows to 0")
     cover = probe(lo)
     if cover is not None:
         return cover
     mst_cost = sum(w for _, _, w in _kruskal(us, vs, ws, len(ws), verts))
     hi = max(mst_cost, ws[-1])  # keeps every edge light even under triangle slack
+    if math.isinf(hi):
+        raise ValueError("MST cost is not finite: the distances are too large "
+                         "to sum in floating point")
     best = probe(hi)
     if best is None:  # cannot happen: a single-piece cover always fits k >= 1
         raise RuntimeError("tree cover search failed at its upper budget bound")
 
     while hi - lo > eps * lo:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # cannot overflow, unlike 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no double splits the bracket: subnormal or inf ends
+            raise ValueError(f"tree cover budget search stalled in [{lo!r}, {hi!r}]")
         attempt = probe(mid)
         if attempt is None:
             lo = mid

@@ -4,10 +4,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import patrolsched
 from patrolsched import (Schedule, held_karp_tsp, load_instance,
                          minmax_tree_cover, partition_tree_cover_oracle,
                          plan, point_cost, serialize_instance,
@@ -296,3 +300,34 @@ class TestUsage:
 
     def test_oracle_opt_small_max_period_exits_1(self, triangle_file):
         assert main(["oracle-opt", str(triangle_file), "--max-period", "1"]) == 1
+
+
+class TestExtremeScales:
+    """Distances at the ends of the double range fail cleanly, never hang."""
+
+    @pytest.mark.parametrize("command, dist, weights", [
+        ("plan", 1e308, [1, 1]),               # sums overflow to inf
+        ("plan", 1e308, [1, 1, 1]),            # the class MST overflows to inf
+        ("plan", 5e-324, [1, 1, 1]),           # half the shortest edge underflows to 0
+        ("plan", 1e-320, [1, 0.5, 0.5, 0.5]),  # the budget bisection stops splitting
+        ("oracle-tsp", 1e308, [1, 1, 1]),      # every tour overflows to inf
+    ], ids=["plan-overflow", "plan-mst-overflow", "plan-underflow", "plan-subnormal",
+         "oracle-tsp-overflow"])
+    def test_exits_1_with_one_line_error(self, tmp_path, command, dist, weights):
+        n = len(weights)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "labels": [f"p{i}" for i in range(n)], "weights": weights,
+            "metric": {"type": "explicit", "dist": [
+                [0.0 if i == j else dist for j in range(n)] for i in range(n)]}}))
+        src = str(Path(patrolsched.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from patrolsched.cli import main; sys.exit(main())",
+             command, str(path), "--out", str(tmp_path / "report.json")],
+            capture_output=True, text=True, timeout=10, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr

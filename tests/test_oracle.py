@@ -13,7 +13,10 @@ from patrolsched import (Schedule, brute_force_weighted_opt, held_karp_tsp,
                          lower_bound, make_instance, minimum_spanning_tree,
                          partition_tree_cover_oracle, period_length,
                          weighted_objective)
-from conftest import random_instance, random_metric_instance
+from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _held_karp_table,
+                                _paths_to)
+from conftest import (random_instance, random_metric_instance, reference_held_karp,
+                      reference_lower_bound)
 
 
 def permutation_tsp(inst, subset):
@@ -50,6 +53,29 @@ class TestHeldKarp:
         res = held_karp_tsp(line_four, [2])
         assert res.value == 0.0
         assert res.witness.visits == (2,)
+
+    def test_prefix_columns_equal_fresh_tables(self):
+        # every prefix of the points, read from one shared table, is bit for
+        # bit the table of that prefix alone (same start vertex 0)
+        dist = random_metric_instance(np.random.default_rng(5), HELD_KARP_MAX).dist
+        shared = _held_karp_table(dist)
+        for size in range(2, HELD_KARP_MAX + 1):
+            fresh_dist = dist[:size, :size]
+            fresh = _held_karp_table(fresh_dist)
+            for mask in range(1, 1 << (size - 1)):
+                assert np.array_equal(_paths_to(shared, mask)[:size - 1],
+                                      _paths_to(fresh, mask))
+            assert np.array_equal(_closing_costs(shared, dist, size),
+                                  _closing_costs(fresh, fresh_dist, size))
+
+    @pytest.mark.parametrize("m", range(2, HELD_KARP_MAX + 1))
+    def test_matches_reference_dp(self, m):
+        # value and tie-broken witness equal an independent dp[mask, j] DP
+        inst = random_metric_instance(np.random.default_rng(m), m)
+        value, order = reference_held_karp(inst.dist)
+        res = held_karp_tsp(inst)
+        assert res.value == value
+        assert res.witness.visits == tuple(order)
 
     def test_rejects_large_subset(self):
         inst = random_instance(0, 17)
@@ -169,3 +195,20 @@ def test_lower_bound_below_exhaustive_optimum(seed):
     inst = random_metric_instance(rng, 4)
     bf = brute_force_weighted_opt(inst, math.inf, 7)
     assert lower_bound(inst) <= bf.value * (1 + 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 9999), n=st.integers(1, 40), levels=st.integers(1, 40))
+def test_lower_bound_matches_per_level_reference(seed, n, levels):
+    # weights drawn from ``levels`` values give tied levels; levels == 1 is
+    # all-equal weights, and n up to 40 lets levels straddle 16 points
+    rng = np.random.default_rng(seed)
+    dist = random_metric_instance(rng, n).dist
+    weights = rng.integers(1, levels + 1, size=n) / levels
+    inst = make_instance([f"p{i}" for i in range(n)], weights, dist)
+    lb, ref = lower_bound(inst), reference_lower_bound(inst)
+    sizes = {int(np.count_nonzero(inst.weights >= w)) for w in inst.weights}
+    if any(2 <= s <= HELD_KARP_MAX for s in sizes):
+        assert lb == pytest.approx(ref, rel=1e-12)
+    else:  # MST levels only: the grown tree is the fresh MST, summed alike
+        assert lb == ref
