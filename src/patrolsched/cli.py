@@ -16,11 +16,15 @@ bench         planner ratio table over a directory of instances
 
 Exit codes: 0 success, 1 domain/validation failure, 2 I/O or usage error.
 
-Every command prints a short human summary to stdout and, with ``--out``,
-writes a JSON run report.  Reports are deterministic for fixed inputs,
-flags, and seeds: keys are sorted, the instance file's SHA-256 is embedded,
-and wall-clock measurements live under a separate top-level ``"timings"``
-key so out-of-band variation never touches result fields.  Infinite values
+Every command runs through one runner, ``_run``.  A command parses its
+inputs, calls the library and returns its report fields, a short human
+summary and its exit code; the runner times it, adds ``command`` and
+``timings``, writes the JSON run report when ``--out`` is given, prints the
+summary, and maps errors to exit codes with a one-line ``error:`` message.
+Reports are deterministic for fixed inputs, flags, and seeds: keys are
+sorted, the SHA-256 of the instance file's bytes is embedded, and wall-clock
+measurements live under a separate top-level ``"timings"`` key so
+out-of-band variation never touches result fields.  Infinite values
 serialize as the string ``"unbounded"``.
 """
 from __future__ import annotations
@@ -43,14 +47,16 @@ from .instance import (GEOMETRIES, WEIGHT_LAWS, Instance, MetricViolationError,
 from .mst import Tree
 from .oracle import (BRUTE_FORCE_MAX_POINTS, BRUTE_FORCE_MAX_PERIOD,
                      HELD_KARP_MAX, brute_force_weighted_opt, held_karp_tsp,
-                     lower_bound, partition_tree_cover_oracle)
+                     partition_tree_cover_oracle)
 from .planner import plan
-from .schedule import (Schedule, period_length, point_cost,
-                       schedule_from_document, schedule_to_document,
-                       weighted_objective)
+from .schedule import (period_length, point_cost, schedule_from_document,
+                       schedule_to_document, weighted_objective)
 from .security import (attacker_best_response, mix_tours, per_target_best,
                        strategy_from_document)
 from .treecover import minmax_tree_cover
+
+# What a command returns to the runner: report fields, summary, exit code.
+Outcome = tuple[dict[str, Any], str, int]
 
 
 # ---------------------------------------------------------------------------
@@ -75,15 +81,26 @@ def _encode(obj: Any) -> Any:
     return obj
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_json(doc: Any, path: str) -> None:
+    """Write a report or schedule document: sorted keys, inf as "unbounded"."""
+    text = json.dumps(_encode(doc), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
-def _write_report(report: dict[str, Any], out: str | None) -> None:
-    if out is None:
-        return
-    text = json.dumps(_encode(report), indent=2, sort_keys=True, allow_nan=False)
-    Path(out).write_text(text + "\n")
+def _run(args: argparse.Namespace) -> int:
+    """Time the command, write its report, print its summary, return its code."""
+    t0 = time.perf_counter()
+    try:
+        fields, summary, code = args.func(args)
+        if args.out is not None and args.report is not None:
+            report = {"command": args.command, **fields,
+                      "timings": {"total_s": time.perf_counter() - t0}}
+            _write_json(report, args.report.format(args.out))
+        print(summary)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, OSError) else 1
+    return code
 
 
 def _fmt(x: float) -> str:
@@ -99,12 +116,15 @@ def _read_json(path: str) -> Any:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _read_instance_file(path: str | Path) -> tuple[bytes, dict[str, Any]]:
+    """The file's bytes and its report reference: path and SHA-256 of the bytes."""
+    data = Path(path).read_bytes()
+    return data, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def _load_instance_file(path: str) -> tuple[Instance, dict[str, Any]]:
-    p = Path(path)
-    text = p.read_text()
-    inst = load_instance(text)
-    ref = {"path": str(path), "sha256": hashlib.sha256(text.encode()).hexdigest()}
-    return inst, ref
+    data, ref = _read_instance_file(path)
+    return load_instance(data.decode()), ref
 
 
 def _parse_p(text: str) -> float:
@@ -132,6 +152,10 @@ def _parse_subset(inst: Instance, text: str | None) -> list[int] | None:
     return [inst.index(label) for label in labels]
 
 
+def _subset_doc(inst: Instance, subset: list[int] | None) -> list[str] | None:
+    return None if subset is None else [inst.labels[x] for x in subset]
+
+
 def _tree_doc(tree: Tree, inst: Instance) -> dict[str, Any]:
     return {
         "vertices": [inst.labels[v] for v in tree.vertices],
@@ -145,53 +169,37 @@ def _tree_doc(tree: Tree, inst: Instance) -> dict[str, Any]:
 # subcommands
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    path = Path(args.instance)
-    text = path.read_text()
-    digest = hashlib.sha256(text.encode()).hexdigest()
+def _cmd_validate(args: argparse.Namespace) -> Outcome:
+    data, ref = _read_instance_file(Path(args.instance))
     violations: list[dict[str, Any]] = []
-    n = 0
     try:
-        inst = load_instance(text)
-        n = inst.n
-        ok = True
+        n, ok = load_instance(data.decode()).n, True
     except MetricViolationError as exc:
-        ok = False
-        n = exc.report.n
+        n, ok = exc.report.n, False
         violations = [{"kind": v.kind, "where": list(v.where), "message": v.message}
                       for v in exc.report.violations]
-    report = {
-        "command": "validate",
-        "instance": {"path": str(path), "sha256": digest},
-        "parameters": {},
-        "result": {"ok": ok, "n": n, "violations": violations},
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
+    fields = {"instance": ref, "parameters": {},
+              "result": {"ok": ok, "n": n, "violations": violations}}
     if ok:
-        print(f"{path}: OK ({n} points)")
-        return 0
-    print(f"{path}: INVALID ({len(violations)} violations; "
-          f"first: {violations[0]['message']})")
-    return 1
+        return fields, f"{ref['path']}: OK ({n} points)", 0
+    return fields, (f"{ref['path']}: INVALID ({len(violations)} violations; "
+                    f"first: {violations[0]['message']})"), 1
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> Outcome:
     spec = RandomSpec(n=args.n, weight_law=args.weight_law, geometry=args.geometry)
     inst = generate_random(spec, args.seed)
     text = serialize_instance(inst)
     if args.out is None:
-        print(text)
-    else:
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}: n={inst.n} geometry={args.geometry} "
-              f"weight-law={args.weight_law} seed={args.seed}")
-    return 0
+        return {}, text, 0
+    Path(args.out).write_text(text + "\n")
+    return {}, (f"wrote {args.out}: n={inst.n} geometry={args.geometry} "
+                f"weight-law={args.weight_law} seed={args.seed}"), 0
 
 
-def _plan_report_body(inst: Instance, eps: float) -> tuple[dict[str, Any], dict[str, Any], Schedule]:
-    res = plan(inst, eps=eps)
+def _cmd_plan(args: argparse.Namespace) -> Outcome:
+    inst, ref = _load_instance_file(args.instance)
+    res = plan(inst, eps=args.eps)
     diag = res.diagnostics
     result = {
         "schedule": schedule_to_document(res.schedule, inst),
@@ -228,37 +236,18 @@ def _plan_report_body(inst: Instance, eps: float) -> tuple[dict[str, Any], dict[
         "tree_budget_ok": diag["tree_budget_ok"],
         "envelope_ok": obj <= diag["envelope_limit"] * lb or (obj == 0.0 and lb == 0.0),
     }
-    return result, invariants, res.schedule
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inst, ref = _load_instance_file(args.instance)
-    result, invariants, schedule = _plan_report_body(inst, args.eps)
-    report = {
-        "command": "plan",
-        "instance": ref,
-        "parameters": {"eps": args.eps},
-        "result": result,
-        "invariants": invariants,
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
     if args.schedule_out:
-        doc = json.dumps(_encode(schedule_to_document(schedule, inst)),
-                         indent=2, sort_keys=True)
-        Path(args.schedule_out).write_text(doc + "\n")
+        _write_json(result["schedule"], args.schedule_out)
     flags = " ".join(f"{k}={'pass' if v else 'FAIL'}" for k, v in sorted(invariants.items()))
-    print(f"plan: {len(schedule)} visits over {result['phases']} phases, "
-          f"objective_inf={_fmt(result['objective_inf'])}, "
-          f"lower_bound={_fmt(result['lower_bound'])}, "
-          f"limit={_fmt(result['envelope_limit'])}")
-    print(f"invariants: {flags}")
-    return 0
+    summary = (f"plan: {len(res.schedule)} visits over {res.phases} phases, "
+               f"objective_inf={_fmt(obj)}, lower_bound={_fmt(lb)}, "
+               f"limit={_fmt(diag['envelope_limit'])}\n"
+               f"invariants: {flags}")
+    return {"instance": ref, "parameters": {"eps": args.eps}, "result": result,
+            "invariants": invariants}, summary, 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_eval(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     sched = schedule_from_document(_read_json(args.schedule), inst)
     ps = [_parse_p(t) for t in (args.p or ["2", "inf"])]
@@ -269,54 +258,36 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "point_costs": {inst.labels[x]: point_cost(sched, x, inst, p)
                             for x in range(inst.n)},
         }
-    report = {
-        "command": "eval",
+    period = period_length(sched, inst)
+    summary = ", ".join(f"p={k}: {_fmt(v['objective'])}" for k, v in per_p.items())
+    return {
         "instance": ref,
         "parameters": {"schedule": str(args.schedule), "p": [_p_key(p) for p in ps]},
-        "result": {
-            "visits": len(sched),
-            "period": period_length(sched, inst),
-            "per_p": per_p,
-        },
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
-    summary = ", ".join(f"p={k}: {_fmt(v['objective'])}" for k, v in per_p.items())
-    print(f"eval: {len(sched)} visits, period {_fmt(period_length(sched, inst))}; {summary}")
-    return 0
+        "result": {"visits": len(sched), "period": period, "per_p": per_p},
+    }, f"eval: {len(sched)} visits, period {_fmt(period)}; {summary}", 0
 
 
-def _cmd_oracle_tsp(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_oracle_tsp(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     subset = _parse_subset(inst, args.subset)
     res = held_karp_tsp(inst, subset)
-    report = {
-        "command": "oracle-tsp",
+    return {
         "instance": ref,
-        "parameters": {"subset": None if subset is None
-                       else [inst.labels[x] for x in subset]},
+        "parameters": {"subset": _subset_doc(inst, subset)},
         "result": {
             "value": res.value,
             "witness": schedule_to_document(res.witness, inst),
             "search_bound": res.search_bound,
         },
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
-    print(f"oracle-tsp: value {_fmt(res.value)} over "
-          f"{res.search_bound['points']} points")
-    return 0
+    }, f"oracle-tsp: value {_fmt(res.value)} over {res.search_bound['points']} points", 0
 
 
-def _cmd_oracle_opt(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_oracle_opt(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     p = _parse_p(args.p)
     max_period = args.max_period if args.max_period is not None else inst.n
     res = brute_force_weighted_opt(inst, p, max_period)
-    report = {
-        "command": "oracle-opt",
+    return {
         "instance": ref,
         "parameters": {"p": _p_key(p), "max_period": max_period},
         "result": {
@@ -324,75 +295,50 @@ def _cmd_oracle_opt(args: argparse.Namespace) -> int:
             "witness": schedule_to_document(res.witness, inst),
             "search_bound": res.search_bound,
         },
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
-    print(f"oracle-opt: best weighted objective {_fmt(res.value)} "
-          f"at p={_p_key(p)}, periods up to {max_period} visits "
-          f"(upper bound on the unrestricted optimum)")
-    return 0
+    }, (f"oracle-opt: best weighted objective {_fmt(res.value)} "
+        f"at p={_p_key(p)}, periods up to {max_period} visits "
+        f"(upper bound on the unrestricted optimum)"), 0
 
 
-def _cmd_oracle_cover(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_oracle_cover(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     subset = _parse_subset(inst, args.subset)
     res = partition_tree_cover_oracle(inst, subset, args.k)
-    report = {
-        "command": "oracle-cover",
+    return {
         "instance": ref,
-        "parameters": {
-            "subset": None if subset is None else [inst.labels[x] for x in subset],
-            "k": args.k,
-        },
+        "parameters": {"subset": _subset_doc(inst, subset), "k": args.k},
         "result": {
             "value": res.value,
             "witness": [[inst.labels[x] for x in block] for block in res.witness],
             "search_bound": res.search_bound,
         },
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
-    print(f"oracle-cover: exact min-max block cost {_fmt(res.value)} "
-          f"with {len(res.witness)} blocks (k={args.k})")
-    return 0
+    }, (f"oracle-cover: exact min-max block cost {_fmt(res.value)} "
+        f"with {len(res.witness)} blocks (k={args.k})"), 0
 
 
-def _cmd_treecover(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_treecover(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     subset = _parse_subset(inst, args.subset)
     cover = minmax_tree_cover(inst, subset, args.k, eps=args.eps)
-    report = {
-        "command": "treecover",
+    return {
         "instance": ref,
-        "parameters": {
-            "subset": None if subset is None else [inst.labels[x] for x in subset],
-            "k": args.k,
-            "eps": args.eps,
-        },
+        "parameters": {"subset": _subset_doc(inst, subset), "k": args.k, "eps": args.eps},
         "result": {
             "budget": cover.budget_used,
             "max_cost": cover.max_cost,
             "guarantee_factor": 4.0 * (1.0 + args.eps),
             "trees": [_tree_doc(t, inst) for t in cover.trees],
         },
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
-    print(f"treecover: {len(cover.trees)} trees (k={args.k}), "
-          f"max cost {_fmt(cover.max_cost)} at budget {_fmt(cover.budget_used)}")
-    return 0
+    }, (f"treecover: {len(cover.trees)} trees (k={args.k}), "
+        f"max cost {_fmt(cover.max_cost)} at budget {_fmt(cover.budget_used)}"), 0
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_attack(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     sched = schedule_from_document(_read_json(args.schedule), inst)
     outcomes = per_target_best(sched, inst)
     best = attacker_best_response(sched, inst)
-    report = {
-        "command": "attack",
+    return {
         "instance": ref,
         "parameters": {"schedule": str(args.schedule)},
         "result": {
@@ -403,40 +349,29 @@ def _cmd_attack(args: argparse.Namespace) -> int:
                             "duration": o.duration,
                             "utility": o.utility} for o in outcomes],
         },
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
-    print(f"attack: best target {inst.labels[best.target]}, "
-          f"duration {_fmt(best.duration)}, utility {_fmt(best.utility)}")
-    return 0
+    }, (f"attack: best target {inst.labels[best.target]}, "
+        f"duration {_fmt(best.duration)}, utility {_fmt(best.utility)}"), 0
 
 
-def _cmd_mix(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_mix(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     strategy = strategy_from_document(_read_json(args.strategy), inst)
     mixed = mix_tours(strategy, inst)
     doc = schedule_to_document(mixed, inst)
-    report = {
-        "command": "mix",
+    period = period_length(mixed, inst)
+    if args.schedule_out:
+        _write_json(doc, args.schedule_out)
+    return {
         "instance": ref,
-        "parameters": {"strategy": str(args.strategy),
-                       "support": len(strategy.entries)},
+        "parameters": {"strategy": str(args.strategy), "support": len(strategy.entries)},
         "result": {
             "schedule": doc,
             "visits": len(mixed),
-            "period": period_length(mixed, inst),
+            "period": period,
             "objective_2": weighted_objective(mixed, inst, 2.0),
         },
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-    _write_report(report, args.out)
-    if args.schedule_out:
-        Path(args.schedule_out).write_text(
-            json.dumps(_encode(doc), indent=2, sort_keys=True) + "\n")
-    print(f"mix: {len(strategy.entries)}-tour strategy collapsed to one tour "
-          f"with {len(mixed)} visits, period {_fmt(period_length(mixed, inst))}")
-    return 0
+    }, (f"mix: {len(strategy.entries)}-tour strategy collapsed to one tour "
+        f"with {len(mixed)} visits, period {_fmt(period)}"), 0
 
 
 _BENCH_COLUMNS = [
@@ -450,9 +385,10 @@ _BENCH_COLUMNS = [
 def _bench_row(path: Path, eps: float) -> dict[str, Any]:
     row: dict[str, Any] = {c: None for c in _BENCH_COLUMNS}
     row["file"] = path.name
-    row["sha256"] = _digest(path)
+    data, ref = _read_instance_file(path)
+    row["sha256"] = ref["sha256"]
     try:
-        inst = load_instance(path.read_text())
+        inst = load_instance(data.decode())
         res = plan(inst, eps=eps)
         diag = res.diagnostics
         row.update({
@@ -482,8 +418,7 @@ def _bench_row(path: Path, eps: float) -> dict[str, Any]:
     return row
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_bench(args: argparse.Namespace) -> Outcome:
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise OSError(f"corpus directory not found: {corpus}")
@@ -500,18 +435,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "max_envelope_ratio": max(ratios) if ratios else None,
         "all_envelopes_ok": all(r["envelope_ok"] for r in ok),
     }
-    report = {
-        "command": "bench",
-        "corpus": {"path": str(corpus), "files": len(rows)},
-        "parameters": {"eps": args.eps, "seed": args.seed},
-        "result": {"summary": summary, "rows": rows},
-        "timings": {"total_s": time.perf_counter() - t0},
-    }
-
-    prefix = args.out
-    if prefix is not None:
-        _write_report(report, f"{prefix}.json")
-        with open(f"{prefix}.csv", "w", newline="") as fh:
+    if args.out is not None:
+        with open(f"{args.out}.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS)
             writer.writeheader()
             for row in rows:
@@ -520,10 +445,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     ratio_txt = (_fmt(summary["max_envelope_ratio"])
                  if summary["max_envelope_ratio"] is not None else "n/a")
-    print(f"bench: {summary['instances']} instances, {summary['ok']} ok, "
-          f"{summary['failed']} failed, max envelope ratio {ratio_txt}, "
-          f"envelopes {'all ok' if summary['all_envelopes_ok'] else 'VIOLATED'}")
-    return 0
+    return {
+        "corpus": {"path": str(corpus), "files": len(rows)},
+        "parameters": {"eps": args.eps, "seed": args.seed},
+        "result": {"summary": summary, "rows": rows},
+    }, (f"bench: {summary['instances']} instances, {summary['ok']} ok, "
+        f"{summary['failed']} failed, max envelope ratio {ratio_txt}, "
+        f"envelopes {'all ok' if summary['all_envelopes_ok'] else 'VIOLATED'}"), 0
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +464,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weighted patrol scheduling: planner, oracles, and attack analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str,
+            report: str | None = "{}") -> argparse.ArgumentParser:
+        """``report`` names the report file from the ``--out`` value (None: no report)."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, report=report)
         return p
 
     p = add("validate", _cmd_validate, "check an instance document")
     p.add_argument("instance")
     p.add_argument("--out", help="write a JSON run report")
 
-    p = add("gen", _cmd_gen, "generate a random instance document")
+    p = add("gen", _cmd_gen, "generate a random instance document", report=None)
     p.add_argument("--n", type=int, required=True, help="number of points (>= 3)")
     p.add_argument("--weight-law", choices=WEIGHT_LAWS, default="uniform")
     p.add_argument("--geometry", choices=GEOMETRIES, default="euclidean-plane")
@@ -606,7 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write a JSON run report")
     p.add_argument("--schedule-out", help="also write the bare schedule document")
 
-    p = add("bench", _cmd_bench, "planner ratio table over a corpus directory")
+    p = add("bench", _cmd_bench, "planner ratio table over a corpus directory",
+            report="{}.json")
     p.add_argument("corpus", help="directory of instance *.json documents")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0,
@@ -617,20 +548,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
-    try:
-        return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 0 if exc.code == 0 else 2
+    return _run(args)
 
 
 if __name__ == "__main__":

@@ -220,6 +220,9 @@ def instance_from_document(doc: Any, *, tol: float = TRIANGLE_TOL) -> Instance:
         raise InstanceFormatError(f"instance document missing key: {e}") from None
     if not isinstance(labels, list) or not isinstance(weights, list):
         raise InstanceFormatError("'labels' and 'weights' must be arrays")
+    for label in labels:
+        if not isinstance(label, str):
+            raise InstanceFormatError(f"point labels must be strings, got {label!r}")
     if not isinstance(metric, dict) or "type" not in metric:
         raise InstanceFormatError("'metric' must be an object with a 'type'")
 

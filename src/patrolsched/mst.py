@@ -56,16 +56,15 @@ def _subset_edges(inst: Instance, subset: Sequence[int]) -> tuple[list[int], lis
     return us[order].tolist(), vs[order].tolist(), ws[order].tolist()
 
 
-def _kruskal(us: list[int], vs: list[int], ws: list[float], limit: int,
+def _kruskal(us: list[int], vs: list[int], ws: list[float],
              vertices: Sequence[int]) -> list[tuple[int, int, float]]:
-    """Forest of per-component MSTs using the first ``limit`` sorted edges."""
+    """Minimum spanning forest of the sorted edges, in acceptance order."""
     uf = UnionFind(vertices)
     accepted: list[tuple[int, int, float]] = []
     want = len(vertices) - 1
-    for i in range(limit):
-        u, v = us[i], vs[i]
+    for u, v, w in zip(us, vs, ws):
         if uf.union(u, v):
-            accepted.append((u, v, ws[i]))
+            accepted.append((u, v, w))
             if len(accepted) == want:
                 break
     return accepted
@@ -92,7 +91,7 @@ def minimum_spanning_tree(inst: Instance, subset: Sequence[int] | None = None) -
     if len(verts) == 1:
         return Tree(vertices=verts, edges=(), cost=0.0)
     us, vs, ws = _subset_edges(inst, verts)
-    accepted = _kruskal(us, vs, ws, len(ws), verts)
+    accepted = _kruskal(us, vs, ws, verts)
     edges = tuple(sorted((min(u, v), max(u, v)) for u, v, _ in accepted))
     return Tree(vertices=verts, edges=edges, cost=float(sum(w for _, _, w in accepted)))
 

@@ -313,7 +313,7 @@ def _grow_spanning_tree(
     ws = np.concatenate([tree[2], dist[lo, hi]])
     order = np.lexsort((vs, us, ws))
     accepted = _kruskal(us[order].tolist(), vs[order].tolist(), ws[order].tolist(),
-                        len(ws), np.concatenate([old, new]).tolist())
+                        np.concatenate([old, new]).tolist())
     tu, tv, tw = zip(*accepted)
     return (np.array(tu), np.array(tv), np.array(tw)), float(sum(tw))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .instance import Instance
-from .mst import euler_shortcut, minimum_spanning_tree
+from .mst import euler_shortcut
 from .oracle import lower_bound
 from .schedule import Schedule, weighted_objective
 from .treecover import TreeCover, minmax_tree_cover
@@ -175,7 +175,7 @@ def plan(inst: Instance, eps: float = 1e-6) -> PlanResult:
         "envelope_limit": 18.0 * (I + 1),
         "all_points_visited": set().union(*(set(t.visits) for t in tours)) == set(range(inst.n)),
         "list_weight_ok": _check_list_weights(lists, classes),
-        "tree_budget_ok": _check_tree_budgets(inst, classes, covers, eps),
+        "tree_budget_ok": _check_tree_budgets(classes, covers, eps),
     }
     return PlanResult(schedule=schedule, classes=classes, covers=covers,
                       lists=lists, I=I, J=J, phases=phases, diagnostics=diagnostics)
@@ -201,18 +201,16 @@ def _check_list_weights(lists: tuple[TourList, ...],
     return True
 
 
-def _check_tree_budgets(inst: Instance, classes: tuple[WeightClass, ...],
+def _check_tree_budgets(classes: tuple[WeightClass, ...],
                         covers: dict[int, TreeCover], eps: float) -> bool:
     """theta_i * (max tree cost) <= 4*(1+eps) * MST(class i) for every class.
 
     This is what makes the emitted schedule comparable to the lower bound:
     a class's tree budget never exceeds a constant times the cheapest way to
-    span the class.
+    span the class.  Each cover carries its class's MST cost.
     """
     for cls in classes:
         cover = covers[cls.index]
-        worst = max(t.cost for t in cover.trees)
-        mst_cost = minimum_spanning_tree(inst, cls.members).cost
-        if cls.theta * worst > 4.0 * (1.0 + eps) * mst_cost:
+        if cls.theta * cover.max_cost > 4.0 * (1.0 + eps) * cover.mst_cost:
             return False
     return True

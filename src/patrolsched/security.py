@@ -221,10 +221,13 @@ def strategy_from_document(doc: Any, inst: Instance) -> MixedStrategy:
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a non-empty array")
     built = []
-    for e in entries:
+    for i, e in enumerate(entries):
         if not isinstance(e, dict) or "schedule" not in e or "prob" not in e:
             raise ValueError("each strategy entry needs a 'schedule' and a 'prob'")
-        built.append((schedule_from_document(e["schedule"], inst), float(e["prob"])))
+        prob = e["prob"]
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+            raise ValueError(f"strategy entry {i}: 'prob' must be a number, got {prob!r}")
+        built.append((schedule_from_document(e["schedule"], inst), float(prob)))
     return MixedStrategy(entries=tuple(built))
 
 

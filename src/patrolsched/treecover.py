@@ -2,13 +2,15 @@
 
 The goal is k subtrees that together touch every point of a subset while the
 most expensive subtree is as cheap as possible.  ``try_budget`` tests one
-candidate budget B: it drops every edge longer than B, builds the minimum
+candidate budget B: it drops every edge longer than B, takes the minimum
 spanning forest of what remains, and chops each component MST into edge-
 disjoint pieces — at most one piece lighter than 2B per component, all other
 pieces weighing in [2B, 4B).  If the pieces fit into k trees the budget is
-feasible.  ``minmax_tree_cover`` then binary-searches the smallest feasible
-budget; every tree it returns costs at most 4*(1+eps) times the optimal
-min-max tree cost.
+feasible.  In Kruskal order the minimum spanning forest of the edges <= B
+is the subset MST's prefix of edges <= B, so the MST is built once per cover
+and every budget probe reads a prefix of it.  ``minmax_tree_cover`` then
+binary-searches the smallest feasible budget; every tree it returns costs at
+most 4*(1+eps) times the optimal min-max tree cost.
 """
 from __future__ import annotations
 
@@ -23,11 +25,15 @@ from .mst import Tree, UnionFind, _kruskal, _normalize_subset, _subset_edges
 
 @dataclass(frozen=True)
 class TreeCover:
-    """Trees covering a subset; every tree costs at most ``4 * budget_used``."""
+    """Trees covering a subset; every tree costs at most ``4 * budget_used``.
+
+    ``mst_cost`` is the cost of the subset's minimum spanning tree.
+    """
 
     trees: tuple[Tree, ...]
     budget_used: float
     k: int
+    mst_cost: float
 
     @property
     def max_cost(self) -> float:
@@ -114,12 +120,14 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
 
 
 def _forest_at_budget(
-    us: list[int], vs: list[int], ws: list[float], budget: float,
-    verts: Sequence[int],
+    mst: list[tuple[int, int, float]], budget: float, verts: Sequence[int],
 ) -> list[tuple[tuple[int, ...], list[tuple[int, int, float]], float]]:
-    """Per-component (vertices, MST edges, MST cost) after dropping edges > budget."""
-    limit = bisect_right(ws, budget)
-    accepted = _kruskal(us, vs, ws, limit, verts)
+    """Per-component (vertices, MST edges, MST cost) after dropping edges > budget.
+
+    ``mst`` holds the MST edges in Kruskal order; the forest is its prefix of
+    edges <= budget.
+    """
+    accepted = mst[:bisect_right([w for _, _, w in mst], budget)]
     uf = UnionFind(verts)
     for u, v, _ in accepted:
         uf.union(u, v)
@@ -137,11 +145,11 @@ def _forest_at_budget(
     return out
 
 
-def _try_budget_presorted(
-    inst: Instance, us: list[int], vs: list[int], ws: list[float],
+def _try_budget_on_mst(
+    inst: Instance, mst: list[tuple[int, int, float]], mst_cost: float,
     verts: Sequence[int], k: int, budget: float,
 ) -> TreeCover | None:
-    comps = _forest_at_budget(us, vs, ws, budget, verts)
+    comps = _forest_at_budget(mst, budget, verts)
     needed = 0
     for _, _, cost in comps:
         needed += math.floor(cost / (2.0 * budget)) + 1
@@ -154,7 +162,15 @@ def _try_budget_presorted(
         else:
             comp_tree = _tree_from_edges(edges)
             trees.extend(decompose_tree(inst, comp_tree, budget))
-    return TreeCover(trees=tuple(trees), budget_used=float(budget), k=k)
+    return TreeCover(trees=tuple(trees), budget_used=float(budget), k=k, mst_cost=mst_cost)
+
+
+def _subset_mst(inst: Instance, verts: Sequence[int]
+                ) -> tuple[list[float], list[tuple[int, int, float]], float]:
+    """All pair lengths of ``verts`` in ascending order, and their MST edges and cost."""
+    us, vs, ws = _subset_edges(inst, verts)
+    mst = _kruskal(us, vs, ws, verts)
+    return ws, mst, float(sum(w for _, _, w in mst))
 
 
 def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: float) -> TreeCover | None:
@@ -170,9 +186,10 @@ def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: flo
         raise ValueError(f"budget must be positive, got {budget!r}")
     verts = _normalize_subset(inst, subset)
     if len(verts) == 1:
-        return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=float(budget), k=k)
-    us, vs, ws = _subset_edges(inst, verts)
-    return _try_budget_presorted(inst, us, vs, ws, verts, k, budget)
+        return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=float(budget), k=k,
+                         mst_cost=0.0)
+    _, mst, mst_cost = _subset_mst(inst, verts)
+    return _try_budget_on_mst(inst, mst, mst_cost, verts, k, budget)
 
 
 def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
@@ -192,12 +209,12 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
         raise ValueError(f"eps must be positive, got {eps!r}")
     verts = _normalize_subset(inst, subset)
     if len(verts) == 1:
-        return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=0.0, k=k)
+        return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=0.0, k=k, mst_cost=0.0)
 
-    us, vs, ws = _subset_edges(inst, verts)
+    ws, mst, mst_cost = _subset_mst(inst, verts)
 
     def probe(budget: float) -> TreeCover | None:
-        return _try_budget_presorted(inst, us, vs, ws, verts, k, budget)
+        return _try_budget_on_mst(inst, mst, mst_cost, verts, k, budget)
 
     lo = ws[0] / 2.0  # below this every edge is dropped: n singletons
     if lo == 0.0:
@@ -206,7 +223,6 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
     cover = probe(lo)
     if cover is not None:
         return cover
-    mst_cost = sum(w for _, _, w in _kruskal(us, vs, ws, len(ws), verts))
     hi = max(mst_cost, ws[-1])  # keeps every edge light even under triangle slack
     if math.isinf(hi):
         raise ValueError("MST cost is not finite: the distances are too large "
@@ -229,7 +245,7 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
     # only changes where the dropped-edge set changes (an edge length) or
     # where some floor(cost / 2B) changes (cost / (2m)).
     cands = {w for w in ws if lo < w <= hi}
-    for _, _, cost in _forest_at_budget(us, vs, ws, hi, verts):
+    for _, _, cost in _forest_at_budget(mst, hi, verts):
         if cost <= 0.0:
             continue
         m_lo = max(1, math.ceil(cost / (2.0 * hi)))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -43,6 +44,23 @@ def stripped(path):
     return json.dumps(doc, sort_keys=True)
 
 
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so a raw traceback would show."""
+    src = str(Path(patrolsched.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from patrolsched.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, timeout=10, env=env)
+
+
+def assert_one_line_error(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 class TestValidate:
     def test_valid_instance(self, tmp_path, triangle_file):
         out = tmp_path / "report.json"
@@ -74,6 +92,33 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 1
+
+    def test_non_string_label_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "labels": [["a"], "b", "c"], "weights": [1, 1, 1],
+            "metric": {"type": "explicit",
+                       "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}))
+        assert main(["validate", str(bad)]) == 1
+        assert main(["plan", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: point labels must be strings, got ['a']\n") == 2
+
+
+class TestInstanceDigest:
+    def test_sha256_is_over_the_file_bytes(self, tmp_path, unit_triangle):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        path = corpus / "crlf.json"
+        path.write_bytes(serialize_instance(unit_triangle).replace("\n", "\r\n").encode())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        for command in ("validate", "plan"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(path), "--out", str(out)]) == 0
+            assert read_json(out)["instance"]["sha256"] == digest
+        prefix = tmp_path / "bench"
+        assert main(["bench", str(corpus), "--out", str(prefix)]) == 0
+        assert read_json(f"{prefix}.json")["result"]["rows"][0]["sha256"] == digest
 
 
 class TestGen:
@@ -234,6 +279,17 @@ class TestMix:
             {"schedule": {"visits": ["a", "b", "c"]}, "prob": 0.9}]}))
         assert main(["mix", str(triangle_file), str(strat)]) == 1
 
+    @pytest.mark.parametrize("prob", [[1], {"p": 1}, None, True, "1"],
+                             ids=["array", "object", "null", "bool", "string"])
+    def test_non_number_prob_exits_1_with_one_line_error(self, tmp_path, triangle_file,
+                                                         prob):
+        strat = tmp_path / "strategy.json"
+        strat.write_text(json.dumps({"entries": [
+            {"schedule": {"visits": ["a", "b", "c"]}, "prob": prob}]}))
+        proc = run_cli_process("mix", str(triangle_file), str(strat))
+        assert_one_line_error(proc)
+        assert "strategy entry 0" in proc.stderr
+
 
 class TestBench:
     @pytest.fixture
@@ -320,14 +376,5 @@ class TestExtremeScales:
             "labels": [f"p{i}" for i in range(n)], "weights": weights,
             "metric": {"type": "explicit", "dist": [
                 [0.0 if i == j else dist for j in range(n)] for i in range(n)]}}))
-        src = str(Path(patrolsched.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from patrolsched.cli import main; sys.exit(main())",
-             command, str(path), "--out", str(tmp_path / "report.json")],
-            capture_output=True, text=True, timeout=10, env=env)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert_one_line_error(
+            run_cli_process(command, str(path), "--out", str(tmp_path / "report.json")))

@@ -134,6 +134,17 @@ class TestDocuments:
         with pytest.raises(InstanceFormatError):
             instance_from_document(doc)
 
+    @pytest.mark.parametrize("label", [["a"], 1, None, True, {"x": 1}])
+    def test_non_string_label_raises_format_error(self, label):
+        doc = {"labels": [label, "b"], "weights": [1.0, 1.0],
+               "metric": {"type": "explicit", "dist": [[0.0, 1.0], [1.0, 0.0]]}}
+        with pytest.raises(InstanceFormatError, match="labels must be strings"):
+            instance_from_document(doc)
+
+    def test_make_instance_still_converts_labels(self):
+        inst = make_instance([1, 2], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        assert inst.labels == ("1", "2")
+
 
 class TestGenerateRandom:
     def test_deterministic_for_fixed_seed(self):

@@ -165,6 +165,13 @@ class TestMixedStrategy:
         with pytest.raises(ValueError):
             strategy_from_document({"nope": 1}, unit_triangle)
 
+    @pytest.mark.parametrize("prob", [[1], {"p": 1}, None, True, "0.5"])
+    def test_document_rejects_non_number_prob(self, unit_triangle, prob):
+        doc = {"entries": [{"schedule": {"visits": ["a", "b", "c"]}, "prob": 0.5},
+                           {"schedule": {"visits": ["a", "c", "b"]}, "prob": prob}]}
+        with pytest.raises(ValueError, match="strategy entry 1: 'prob' must be a number"):
+            strategy_from_document(doc, unit_triangle)
+
 
 class TestMixTours:
     def test_rejects_schedule_missing_a_point(self, unit_triangle):

@@ -173,6 +173,18 @@ class TestMinmaxTreeCover:
         assert a == b
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 9999), n=st.integers(1, 14), k=st.integers(1, 4))
+def test_cover_records_the_subset_mst_cost(seed, n, k):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(seed, 14)
+    members = sorted(rng.choice(14, size=n, replace=False).tolist())
+    mst_cost = minimum_spanning_tree(inst, members).cost
+    assert minmax_tree_cover(inst, members, k).mst_cost == mst_cost
+    budget = mst_cost + float(inst.dist.max())  # one tree holds the whole subset
+    assert try_budget(inst, members, k, budget).mst_cost == mst_cost
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 9999), m=st.integers(2, 8), k=st.integers(1, 3))
 def test_cover_within_four_times_exact_optimum(seed, m, k):
