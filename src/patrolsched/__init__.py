@@ -24,12 +24,12 @@ from .oracle import (OracleResult, brute_force_weighted_opt, held_karp_tsp,
                      lower_bound, partition_tree_cover_oracle)
 from .planner import PlanResult, TourList, WeightClass, class_index, plan
 from .schedule import (UNBOUNDED, Schedule, absence_profile, period_length,
-                       point_cost, schedule_from_document,
-                       schedule_to_document, weighted_objective)
+                       point_cost, point_costs, schedule_from_document,
+                       schedule_to_document, weighted_objective, worst_weighted)
 from .security import (AttackOutcome, MixedStrategy, attacker_best_response,
                        expected_return_time, mix_tours, per_target_best,
                        strategy_from_document, strategy_to_document,
-                       success_probability)
+                       strongest_attack, success_probability)
 from .treecover import TreeCover, decompose_tree, minmax_tree_cover, try_budget
 
 __version__ = "0.1.0"
@@ -44,10 +44,12 @@ __all__ = [
     "lower_bound", "partition_tree_cover_oracle",
     "PlanResult", "TourList", "WeightClass", "class_index", "plan",
     "UNBOUNDED", "Schedule", "absence_profile", "period_length", "point_cost",
-    "schedule_from_document", "schedule_to_document", "weighted_objective",
+    "point_costs", "schedule_from_document", "schedule_to_document",
+    "weighted_objective", "worst_weighted",
     "AttackOutcome", "MixedStrategy", "attacker_best_response",
     "expected_return_time", "mix_tours", "per_target_best",
-    "strategy_from_document", "strategy_to_document", "success_probability",
+    "strategy_from_document", "strategy_to_document", "strongest_attack",
+    "success_probability",
     "TreeCover", "decompose_tree", "minmax_tree_cover", "try_budget",
     "__version__",
 ]

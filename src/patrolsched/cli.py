@@ -49,10 +49,10 @@ from .oracle import (BRUTE_FORCE_MAX_POINTS, BRUTE_FORCE_MAX_PERIOD,
                      HELD_KARP_MAX, brute_force_weighted_opt, held_karp_tsp,
                      partition_tree_cover_oracle)
 from .planner import plan
-from .schedule import (period_length, point_cost, schedule_from_document,
-                       schedule_to_document, weighted_objective)
-from .security import (attacker_best_response, mix_tours, per_target_best,
-                       strategy_from_document)
+from .schedule import (period_length, point_costs, schedule_from_document,
+                       schedule_to_document, weighted_objective, worst_weighted)
+from .security import (mix_tours, per_target_best, strategy_from_document,
+                       strongest_attack)
 from .treecover import minmax_tree_cover
 
 # What a command returns to the runner: report fields, summary, exit code.
@@ -170,7 +170,7 @@ def _tree_doc(tree: Tree, inst: Instance) -> dict[str, Any]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> Outcome:
-    data, ref = _read_instance_file(Path(args.instance))
+    data, ref = _read_instance_file(args.instance)
     violations: list[dict[str, Any]] = []
     try:
         n, ok = load_instance(data.decode()).n, True
@@ -251,13 +251,9 @@ def _cmd_eval(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     sched = schedule_from_document(_read_json(args.schedule), inst)
     ps = [_parse_p(t) for t in (args.p or ["2", "inf"])]
-    per_p: dict[str, Any] = {}
-    for p in ps:
-        per_p[_p_key(p)] = {
-            "objective": weighted_objective(sched, inst, p),
-            "point_costs": {inst.labels[x]: point_cost(sched, x, inst, p)
-                            for x in range(inst.n)},
-        }
+    per_p = {_p_key(p): {"objective": worst_weighted(costs, inst),
+                         "point_costs": dict(zip(inst.labels, costs))}
+             for p, costs in zip(ps, point_costs(sched, inst, ps))}
     period = period_length(sched, inst)
     summary = ", ".join(f"p={k}: {_fmt(v['objective'])}" for k, v in per_p.items())
     return {
@@ -337,7 +333,7 @@ def _cmd_attack(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     sched = schedule_from_document(_read_json(args.schedule), inst)
     outcomes = per_target_best(sched, inst)
-    best = attacker_best_response(sched, inst)
+    best = strongest_attack(outcomes)
     return {
         "instance": ref,
         "parameters": {"schedule": str(args.schedule)},

@@ -24,7 +24,7 @@ from typing import Any
 from .instance import Instance
 from .mst import euler_shortcut
 from .oracle import lower_bound
-from .schedule import Schedule, weighted_objective
+from .schedule import Schedule, point_costs, worst_weighted
 from .treecover import TreeCover, minmax_tree_cover
 
 
@@ -154,8 +154,8 @@ def plan(inst: Instance, eps: float = 1e-6) -> PlanResult:
     J = len(tours)
     I = len(lists) - 1
 
-    obj_inf = weighted_objective(schedule, inst, math.inf)
-    obj_2 = weighted_objective(schedule, inst, 2.0)
+    obj_inf, obj_2 = (worst_weighted(costs, inst)
+                      for costs in point_costs(schedule, inst, [math.inf, 2.0]))
     lb = lower_bound(inst)
     for name, value in (("objective_inf", obj_inf), ("objective_2", obj_2),
                         ("lower_bound", lb)):

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from .instance import Instance
 
@@ -59,61 +61,55 @@ class Schedule:
         return len(self.visits)
 
 
-def _check_points(visits: Iterable[int], inst: Instance) -> None:
-    for v in visits:
-        if not 0 <= v < inst.n:
-            raise ValueError(f"schedule refers to unknown point index {v}")
+def _check_points(visits: Sequence[int], n: int) -> np.ndarray:
+    """The visits as an index array; ValueError names the first unknown index."""
+    v = np.array(visits, dtype=np.intp)
+    if v.min() < 0 or v.max() >= n:
+        bad = np.flatnonzero((v < 0) | (v >= n))
+        raise ValueError(f"schedule refers to unknown point index {visits[bad[0]]}")
+    return v
+
+
+def _finite_period(period: float) -> float:
+    if not math.isfinite(period):
+        raise ValueError(f"schedule period overflows to {period}: "
+                         f"the travel times are too long to add up in floating point")
+    return period
 
 
 def period_length(s: Schedule, inst: Instance) -> float:
-    """Total travel time of one period, including the wrap-around hop."""
-    _check_points(s.visits, inst)
-    v = s.visits
-    if len(v) == 1:
-        return 0.0
-    d = inst.dist
-    total = d[v[-1], v[0]]
-    for a, b in zip(v, v[1:]):
-        total += d[a, b]
-    return float(total)
+    """Total travel time of one period, including the wrap-around hop.
 
-
-def _profiles(visits: Sequence[int], dist: Any, n: int) -> tuple[list[list[float] | None], float]:
-    """Absence profile for every point in one pass.
-
-    Returns (profiles, period): ``profiles[x]`` is the list of cyclic gaps
-    between consecutive visits of ``x`` (None if ``x`` never appears), in
-    order of occurrence starting from x's first visit.
+    The wrap-around hop is added first, then the hops in visit order.
     """
-    m = len(visits)
-    if m == 1:
-        profiles: list[list[float] | None] = [None] * n
-        profiles[visits[0]] = [0.0]
-        return profiles, 0.0
-    # cum[i] = travel time from visits[0] to visits[i] along the schedule
-    cum = [0.0] * m
-    acc = 0.0
-    for i in range(1, m):
-        acc += dist[visits[i - 1]][visits[i]]
-        cum[i] = acc
-    period = acc + dist[visits[-1]][visits[0]]
+    v = _check_points(s.visits, inst.n)
+    with np.errstate(over="ignore"):
+        total = inst.dist[np.concatenate((v[-1:], v[:-1])), v].cumsum()[-1]
+    return _finite_period(float(total))
 
-    first: dict[int, float] = {}
-    last: dict[int, float] = {}
-    gaps: dict[int, list[float]] = {}
-    for i, x in enumerate(visits):
-        t = cum[i]
-        if x in last:
-            gaps[x].append(t - last[x])
-        else:
-            first[x] = t
-            gaps[x] = []
-        last[x] = t
-    out: list[list[float] | None] = [None] * n
-    for x, g in gaps.items():
-        g.append(period - last[x] + first[x])  # wrap-around gap
-        out[x] = g
-    return out, period
+
+def _profiles(visits: Sequence[int], inst: Instance) -> tuple[np.ndarray, np.ndarray, float]:
+    """Absence profile of every point in one pass: (gaps, starts, period).
+
+    ``gaps[starts[x]:starts[x+1]]`` are the cyclic gaps between consecutive
+    visits of ``x`` (empty if ``x`` never appears), in order of occurrence
+    starting from x's first visit, so the wrap-around gap comes last.
+    Visit times are the running sum of the hops from ``visits[0]``, folded
+    left to right; the period adds the wrap-around hop last.
+    """
+    v = _check_points(visits, inst.n)
+    with np.errstate(over="ignore"):
+        cum = inst.dist[v, np.concatenate((v[1:], v[:1]))].cumsum()
+    period = _finite_period(float(cum[-1]))
+    ts = np.concatenate(((0.0,), cum[:-1]))[v.argsort(kind="stable")]
+    starts = np.zeros(inst.n + 1, dtype=np.intp)
+    np.bincount(v, minlength=inst.n).cumsum(out=starts[1:])
+    gaps = np.empty_like(ts)
+    np.subtract(ts[1:], ts[:-1], out=gaps[:-1])
+    visited = starts[1:] > starts[:-1]
+    last = starts[1:][visited] - 1
+    gaps[last] = (period - ts[last]) + ts[starts[:-1][visited]]
+    return gaps, starts, period
 
 
 def absence_profile(s: Schedule, x: int, inst: Instance) -> list[float] | None:
@@ -121,11 +117,10 @@ def absence_profile(s: Schedule, x: int, inst: Instance) -> list[float] | None:
 
     The profile always sums to the period length.
     """
-    _check_points(s.visits, inst)
+    gaps, starts, _ = _profiles(s.visits, inst)
     if not 0 <= x < inst.n:
         raise ValueError(f"unknown point index {x}")
-    profiles, _ = _profiles(s.visits, inst.dist.tolist(), inst.n)
-    return profiles[x]
+    return gaps[starts[x]:starts[x + 1]].tolist() or None
 
 
 def _validate_p(p: float) -> float:
@@ -140,15 +135,20 @@ def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
         return UNBOUNDED
     if math.isinf(p):
         return max(gaps)
+    num = 0.0
+    den = 0.0
     if p == 2.0:
-        num = 0.0
-        den = 0.0
         for g in gaps:
             num += g * g
             den += g
     else:
-        num = sum(g ** p for g in gaps)
-        den = sum(g ** (p - 1.0) for g in gaps)
+        try:
+            for g in gaps:
+                num += g ** p
+                den += g ** (p - 1.0)
+        except OverflowError:
+            raise ValueError(f"absence cost at p={p:g} overflows: an absence "
+                             f"length to the power p exceeds the float range") from None
     if den == 0.0:
         return 0.0  # only when every gap is 0 (single-visit schedule)
     return num / den
@@ -163,25 +163,32 @@ def point_cost(s: Schedule, x: int, inst: Instance, p: float) -> float:
     return _cost_of_gaps(absence_profile(s, x, inst), p)
 
 
+def point_costs(s: Schedule, inst: Instance, ps: Sequence[float]) -> list[list[float]]:
+    """Every point's :func:`point_cost` for each order in ``ps``, from one
+    profile pass: ``point_costs(s, inst, ps)[i][x]`` is x's cost at ``ps[i]``."""
+    ps = [_validate_p(p) for p in ps]
+    gaps, starts, _ = _profiles(s.visits, inst)
+    flat, bounds = gaps.tolist(), starts.tolist()
+    profiles = [flat[i:j] or None for i, j in zip(bounds, bounds[1:])]
+    return [[_cost_of_gaps(g, p) for g in profiles] for p in ps]
+
+
+def worst_weighted(costs: Sequence[float], inst: Instance) -> float:
+    """max over points x of weight(x) * costs[x]; 0.0 for no positive term."""
+    best = 0.0
+    for w, c in zip(inst.weights.tolist(), costs):
+        wc = w * c
+        if wc > best:
+            best = wc
+    return best
+
+
 def weighted_objective(s: Schedule, inst: Instance, p: float) -> float:
     """max over points x of weight(x) * point_cost(x).
 
     :data:`UNBOUNDED` as soon as any point is unvisited.
     """
-    p = _validate_p(p)
-    _check_points(s.visits, inst)
-    profiles, _ = _profiles(s.visits, inst.dist.tolist(), inst.n)
-    weights = inst.weights
-    best = 0.0
-    for x in range(inst.n):
-        gaps = profiles[x]
-        if gaps is None:
-            return UNBOUNDED
-        c = _cost_of_gaps(gaps, p)
-        wc = weights[x] * c
-        if wc > best:
-            best = wc
-    return float(best)
+    return worst_weighted(point_costs(s, inst, [p])[0], inst)
 
 
 def schedule_from_document(doc: Any, inst: Instance) -> Schedule:
@@ -195,5 +202,5 @@ def schedule_from_document(doc: Any, inst: Instance) -> Schedule:
 
 
 def schedule_to_document(s: Schedule, inst: Instance) -> dict[str, Any]:
-    _check_points(s.visits, inst)
+    _check_points(s.visits, inst.n)
     return {"visits": [inst.labels[v] for v in s.visits]}

@@ -24,12 +24,18 @@ import warnings
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .instance import Instance
 from .schedule import (Schedule, UNBOUNDED, _cost_of_gaps, _profiles,
-                       period_length, schedule_from_document,
-                       schedule_to_document)
+                       absence_profile, period_length, point_costs,
+                       schedule_from_document, schedule_to_document)
 
 PROB_TOL = 1e-9
+
+# Most (candidate duration, absence length) pairs the best-attack scan
+# holds in one block.
+SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,15 @@ class MixedStrategy:
             raise ValueError(f"strategy probabilities must sum to 1, got {total!r}")
 
 
+def _excess(gaps: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """sum(max(l - t, 0)) over ``gaps`` for every t in ``ts``.
+
+    Each sum is folded left to right over ``gaps`` (a row of ``np.cumsum``),
+    so the result does not depend on how the Python version sums floats.
+    """
+    return np.cumsum(np.maximum(gaps - ts[:, None], 0.0), axis=1)[:, -1]
+
+
 def success_probability(s: Schedule, inst: Instance, x: int, t: float) -> float:
     """Probability that an attack of duration ``t`` on ``x`` succeeds.
 
@@ -67,62 +82,52 @@ def success_probability(s: Schedule, inst: Instance, x: int, t: float) -> float:
     """
     if t < 0.0:
         raise ValueError(f"attack duration must be nonnegative, got {t!r}")
+    gaps, starts, period = _profiles(s.visits, inst)
     if not 0 <= x < inst.n:
         raise ValueError(f"unknown point index {x}")
-    profiles, period = _profiles(s.visits, inst.dist.tolist(), inst.n)
-    gaps = profiles[x]
-    if gaps is None:
+    if starts[x] == starts[x + 1]:
         return 1.0
     if period == 0.0:
         return 1.0 if t == 0.0 else 0.0  # degenerate single-visit schedule
-    return sum(max(g - t, 0.0) for g in gaps) / period
+    return float(_excess(gaps[starts[x]:starts[x + 1]], np.array([t]))[0]) / period
 
 
 def expected_return_time(s: Schedule, inst: Instance, x: int) -> float:
     """Expected wait until the defender next reaches ``x`` from a uniformly
     random moment; equals half the quadratic absence cost."""
-    if not 0 <= x < inst.n:
-        raise ValueError(f"unknown point index {x}")
-    profiles, _ = _profiles(s.visits, inst.dist.tolist(), inst.n)
-    return _cost_of_gaps(profiles[x], 2.0) / 2.0
+    return _cost_of_gaps(absence_profile(s, x, inst), 2.0) / 2.0
 
 
-def _best_attack_on_gaps(gaps: list[float], period: float, weight: float) -> tuple[float, float]:
+def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tuple[float, float]:
     """(duration, utility) maximizing w * t * sum(max(l - t, 0)) / period.
 
     On each interval between consecutive sorted absence lengths the utility
     is a downward parabola in t, so the maximum is at an interval endpoint or
-    the parabola vertex.  Ties resolve to the smallest duration.
+    the parabola vertex.  Every candidate is scored, in blocks of at most
+    :data:`SCAN_BLOCK` pairs; ties resolve to the smallest duration.
     """
     if period == 0.0:
         return 0.0, 0.0
-    ls = sorted(gaps)
+    ls = np.sort(gaps)
     m = len(ls)
-    # suffix[r] = sum of ls[r:]
-    suffix = [0.0] * (m + 1)
-    for r in range(m - 1, -1, -1):
-        suffix[r] = suffix[r + 1] + ls[r]
-
-    candidates: list[float] = []
-    lo = 0.0
-    for r in range(m):
-        hi = ls[r]
-        if hi > lo:
-            count = m - r  # gaps strictly longer than any t in (lo, hi)
-            vertex = suffix[r] / (2.0 * count)
-            candidates.append(lo)
-            candidates.append(hi)
-            if lo < vertex < hi:
-                candidates.append(vertex)
-        lo = hi
+    suffix = np.cumsum(ls[::-1])[::-1]  # suffix[r] = sum of ls[r:]
+    lo = np.concatenate(([0.0], ls[:-1]))
+    # on (lo[r], ls[r]) the gaps ls[r:] are longer than t
+    vertex = suffix / (2.0 * (m - np.arange(m)))
+    grows = ls > lo
+    inside = grows & (lo < vertex) & (vertex < ls)
+    candidates = np.sort(np.concatenate((lo[grows], ls[grows], vertex[inside])))
 
     best_t = 0.0
     best_u = 0.0
-    for t in sorted(candidates):
-        u = weight * t * sum(max(g - t, 0.0) for g in ls) / period
-        if u > best_u:
-            best_u = u
-            best_t = t
+    rows = max(1, SCAN_BLOCK // m)
+    for a in range(0, len(candidates), rows):
+        t = candidates[a:a + rows]
+        u = weight * t * _excess(ls, t) / period
+        u = np.where(u > 0.0, u, 0.0)  # NaN never wins
+        i = int(np.argmax(u))
+        if u[i] > best_u:
+            best_t, best_u = float(t[i]), float(u[i])
     return best_t, best_u
 
 
@@ -132,29 +137,35 @@ def per_target_best(s: Schedule, inst: Instance) -> list[AttackOutcome]:
     An unvisited point yields an unbounded outcome (infinite duration and
     utility).
     """
-    profiles, period = _profiles(s.visits, inst.dist.tolist(), inst.n)
+    gaps, starts, period = _profiles(s.visits, inst)
+    bounds = starts.tolist()
     out: list[AttackOutcome] = []
-    for x in range(inst.n):
-        gaps = profiles[x]
-        if gaps is None:
-            out.append(AttackOutcome(target=x, duration=UNBOUNDED, utility=UNBOUNDED))
-        else:
-            t, u = _best_attack_on_gaps(gaps, period, float(inst.weights[x]))
-            out.append(AttackOutcome(target=x, duration=t, utility=u))
+    # a utility past the float range is inf, silently, as in Python float math
+    with np.errstate(over="ignore"):
+        for x, (w, i, j) in enumerate(zip(inst.weights.tolist(), bounds, bounds[1:])):
+            if i == j:
+                out.append(AttackOutcome(target=x, duration=UNBOUNDED, utility=UNBOUNDED))
+            else:
+                t, u = _best_attack_on_gaps(gaps[i:j], period, w)
+                out.append(AttackOutcome(target=x, duration=t, utility=u))
     return out
+
+
+def strongest_attack(outcomes: list[AttackOutcome]) -> AttackOutcome:
+    """The first unbounded outcome, else the first of highest utility."""
+    best = outcomes[0]
+    for outcome in outcomes:
+        if math.isinf(outcome.utility):
+            return outcome
+        if outcome.utility > best.utility:
+            best = outcome
+    return best
 
 
 def attacker_best_response(s: Schedule, inst: Instance) -> AttackOutcome:
     """The overall best attack; ties go to the lowest point index, then the
     smallest duration."""
-    best: AttackOutcome | None = None
-    for outcome in per_target_best(s, inst):
-        if math.isinf(outcome.utility):
-            return outcome
-        if best is None or outcome.utility > best.utility:
-            best = outcome
-    assert best is not None
-    return best
+    return strongest_attack(per_target_best(s, inst))
 
 
 def mix_tours(strategy: MixedStrategy, inst: Instance) -> Schedule:
@@ -192,10 +203,8 @@ def mix_tours(strategy: MixedStrategy, inst: Instance) -> Schedule:
     d_bar = max(periods)
 
     scale = 0.0
-    for (sched, _), period in zip(kept, periods):
-        profiles, _ = _profiles(sched.visits, inst.dist.tolist(), inst.n)
-        for gaps in profiles:
-            c2 = _cost_of_gaps(gaps, 2.0)
+    for sched, _ in kept:
+        for c2 in point_costs(sched, inst, [2.0])[0]:
             if c2 > 0.0:
                 scale = max(scale, 8.0 * d_bar / c2)
     if scale == 0.0:

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from patrolsched import (Instance, RandomSpec, generate_random, make_instance,
-                         minimum_spanning_tree)
+from patrolsched import (Instance, RandomSpec, Schedule, generate_random,
+                         make_instance, minimum_spanning_tree)
 from patrolsched.oracle import HELD_KARP_MAX
 
 # Per-criterion verdict lines recorded by the acceptance suite; echoed in the
@@ -60,6 +61,31 @@ def random_metric_instance(rng: np.random.Generator, n: int) -> Instance:
         d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
     weights = rng.uniform(0.05, 1.0, size=n)
     return make_instance([f"p{i}" for i in range(n)], weights, d)
+
+
+@st.composite
+def schedules_on_metrics(draw, max_n: int = 6, max_len: int = 14):
+    """(instance, schedule) pairs on 1 to ``max_n`` points.
+
+    The metric is random, all-ones, or integer positions on a line; the last
+    two give many tied and repeated gaps.  Short visit lists leave points
+    unvisited and include single-visit and two-point schedules.
+    """
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 9999)))
+    kind = draw(st.sampled_from(["random", "unit", "line"]))
+    if kind == "random":
+        inst = random_metric_instance(rng, n)
+    else:
+        if kind == "unit":
+            d = 1.0 - np.eye(n)
+        else:
+            pos = rng.permutation(n)
+            d = np.abs(pos[:, None] - pos[None, :]).astype(float)
+        inst = make_instance([f"p{i}" for i in range(n)],
+                             rng.uniform(0.05, 1.0, size=n), d)
+    visits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max_len))
+    return inst, Schedule(tuple(visits))
 
 
 def reference_held_karp(dist: np.ndarray) -> tuple[float, list[int]]:
@@ -127,3 +153,85 @@ def reference_lower_bound(inst: Instance) -> float:
             cost = minimum_spanning_tree(inst, verts.tolist()).cost
         best = max(best, w * cost)
     return best
+
+
+def reference_profiles(visits, dist: np.ndarray, n: int) -> tuple[list[list[float] | None], float]:
+    """Absence profile of every point and the period, in pure Python.
+
+    Test-only reference for ``schedule._profiles``: visit times are a running
+    sum of the hops from ``visits[0]``, the period adds the wrap-around hop
+    last, and ``profiles[x]`` lists x's gaps in order of occurrence from its
+    first visit, the wrap-around gap ``(period - last) + first`` last (None
+    if ``x`` never appears).
+    """
+    d = dist.tolist()
+    m = len(visits)
+    if m == 1:
+        profiles: list[list[float] | None] = [None] * n
+        profiles[visits[0]] = [0.0]
+        return profiles, 0.0
+    cum = [0.0] * m
+    acc = 0.0
+    for i in range(1, m):
+        acc += d[visits[i - 1]][visits[i]]
+        cum[i] = acc
+    period = acc + d[visits[-1]][visits[0]]
+
+    first: dict[int, float] = {}
+    last: dict[int, float] = {}
+    gaps: dict[int, list[float]] = {}
+    for i, x in enumerate(visits):
+        t = cum[i]
+        if x in last:
+            gaps[x].append(t - last[x])
+        else:
+            first[x] = t
+            gaps[x] = []
+        last[x] = t
+    out: list[list[float] | None] = [None] * n
+    for x, g in gaps.items():
+        g.append(period - last[x] + first[x])
+        out[x] = g
+    return out, period
+
+
+def reference_best_attack(gaps: list[float], period: float, weight: float) -> tuple[float, float]:
+    """(duration, utility) maximizing w * t * sum(max(l - t, 0)) / period.
+
+    Test-only reference for ``security._best_attack_on_gaps``: the candidate
+    durations are the ends of the intervals between sorted absence lengths
+    and each interval's parabola vertex; every candidate is scored in
+    ascending order with an explicit left-to-right sum (``sum()`` of floats
+    is compensated from Python 3.12 on), and the first strict maximum wins.
+    """
+    if period == 0.0:
+        return 0.0, 0.0
+    ls = sorted(gaps)
+    m = len(ls)
+    suffix = [0.0] * (m + 1)  # suffix[r] = sum of ls[r:]
+    for r in range(m - 1, -1, -1):
+        suffix[r] = suffix[r + 1] + ls[r]
+
+    candidates: list[float] = []
+    lo = 0.0
+    for r in range(m):
+        hi = ls[r]
+        if hi > lo:
+            vertex = suffix[r] / (2.0 * (m - r))
+            candidates.append(lo)
+            candidates.append(hi)
+            if lo < vertex < hi:
+                candidates.append(vertex)
+        lo = hi
+
+    best_t = 0.0
+    best_u = 0.0
+    for t in sorted(candidates):
+        excess = 0.0
+        for g in ls:
+            excess += max(g - t, 0.0)
+        u = weight * t * excess / period
+        if u > best_u:
+            best_u = u
+            best_t = t
+    return best_t, best_u

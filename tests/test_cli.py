@@ -15,9 +15,10 @@ import pytest
 import patrolsched
 from patrolsched import (Schedule, held_karp_tsp, load_instance,
                          minmax_tree_cover, partition_tree_cover_oracle,
-                         plan, point_cost, serialize_instance,
-                         weighted_objective)
+                         plan, point_cost, schedule_to_document,
+                         serialize_instance, weighted_objective)
 from patrolsched.cli import main
+from conftest import random_instance
 
 
 @pytest.fixture
@@ -53,6 +54,22 @@ def run_cli_process(*argv):
         [sys.executable, "-c",
          "import sys; from patrolsched.cli import main; sys.exit(main())", *argv],
         capture_output=True, text=True, timeout=10, env=env)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of the package function ``name`` at every module bound to it."""
+    modules = [m for m in (patrolsched.cli, patrolsched.schedule, patrolsched.security)
+               if hasattr(m, name)]
+    original = getattr(modules[0], name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    for module in modules:
+        assert getattr(module, name) is original
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def assert_one_line_error(proc):
@@ -103,6 +120,15 @@ class TestValidate:
         assert main(["plan", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.count("error: point labels must be strings, got ['a']\n") == 2
+
+    def test_reports_the_path_as_given_like_plan(self, tmp_path, monkeypatch, unit_triangle):
+        (tmp_path / "x.json").write_text(serialize_instance(unit_triangle))
+        monkeypatch.chdir(tmp_path)
+        paths = []
+        for command in ("validate", "plan"):
+            assert main([command, "./x.json", "--out", f"{command}.json"]) == 0
+            paths.append(read_json(f"{command}.json")["instance"]["path"])
+        assert paths == ["./x.json", "./x.json"]
 
 
 class TestInstanceDigest:
@@ -172,6 +198,23 @@ class TestEval:
         assert per_p["inf"]["objective"] == weighted_objective(s, unit_triangle, math.inf)
         assert per_p["2"]["objective"] <= per_p["inf"]["objective"]
         assert per_p["inf"]["point_costs"]["b"] == 4.0
+
+    def test_one_profile_pass_and_library_values(self, tmp_path, monkeypatch):
+        inst = random_instance(3, 9)
+        ipath, spath = tmp_path / "inst.json", tmp_path / "sched.json"
+        ipath.write_text(serialize_instance(inst))
+        s = Schedule((0, 4, 1, 5, 0, 2, 6, 3, 0, 7, 8, 4))
+        spath.write_text(json.dumps(schedule_to_document(s, inst)))
+        calls = count_calls(monkeypatch, "_profiles")
+        out = tmp_path / "eval.json"
+        assert main(["eval", str(ipath), str(spath), "--p", "2", "--p", "3", "--p", "inf",
+                     "--out", str(out)]) == 0
+        assert calls == [1]
+        per_p = read_json(out)["result"]["per_p"]
+        for key, p in (("2", 2.0), ("3", 3.0), ("inf", math.inf)):
+            assert per_p[key]["objective"] == weighted_objective(s, inst, p)
+            assert per_p[key]["point_costs"] == {
+                inst.labels[x]: point_cost(s, x, inst, p) for x in range(inst.n)}
 
     def test_missing_point_reports_unbounded(self, tmp_path, triangle_file):
         sched = tmp_path / "partial.json"
@@ -244,6 +287,11 @@ class TestAttack:
                      "--out", str(out)]) == 0
         best = read_json(out)["result"]["best"]
         assert best == {"target": "a", "duration": 1.0, "utility": 0.5}
+
+    def test_one_per_target_pass(self, triangle_file, triangle_schedule_file, monkeypatch):
+        calls = count_calls(monkeypatch, "per_target_best")
+        assert main(["attack", str(triangle_file), str(triangle_schedule_file)]) == 0
+        assert calls == [1]
 
     def test_unvisited_target_reports_unbounded(self, tmp_path, triangle_file):
         sched = tmp_path / "partial.json"
@@ -367,14 +415,24 @@ class TestExtremeScales:
         ("plan", 5e-324, [1, 1, 1]),           # half the shortest edge underflows to 0
         ("plan", 1e-320, [1, 0.5, 0.5, 0.5]),  # the budget bisection stops splitting
         ("oracle-tsp", 1e308, [1, 1, 1]),      # every tour overflows to inf
+        ("eval", 1e308, [1, 1, 1]),            # the schedule's period overflows to inf
+        ("attack", 1e308, [1, 1, 1]),
     ], ids=["plan-overflow", "plan-mst-overflow", "plan-underflow", "plan-subnormal",
-         "oracle-tsp-overflow"])
+         "oracle-tsp-overflow", "eval-overflow", "attack-overflow"])
     def test_exits_1_with_one_line_error(self, tmp_path, command, dist, weights):
         n = len(weights)
+        labels = [f"p{i}" for i in range(n)]
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({
-            "labels": [f"p{i}" for i in range(n)], "weights": weights,
+            "labels": labels, "weights": weights,
             "metric": {"type": "explicit", "dist": [
                 [0.0 if i == j else dist for j in range(n)] for i in range(n)]}}))
-        assert_one_line_error(
-            run_cli_process(command, str(path), "--out", str(tmp_path / "report.json")))
+        inputs = [str(path)]
+        if command in ("eval", "attack"):
+            sched = tmp_path / "sched.json"
+            sched.write_text(json.dumps({"visits": labels}))
+            inputs.append(str(sched))
+        proc = run_cli_process(command, *inputs, "--out", str(tmp_path / "report.json"))
+        assert_one_line_error(proc)
+        if command in ("eval", "attack"):
+            assert "period overflows" in proc.stderr

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patrolsched import (UNBOUNDED, Schedule, absence_profile, make_instance,
-                         period_length, point_cost, schedule_from_document,
-                         schedule_to_document, weighted_objective)
-from conftest import random_instance
+                         period_length, point_cost, point_costs,
+                         schedule_from_document, schedule_to_document,
+                         weighted_objective, worst_weighted)
+from patrolsched.schedule import _cost_of_gaps, _profiles
+from conftest import random_instance, reference_profiles, schedules_on_metrics
 
 
 def visit_sequences(n: int, max_len: int = 12):
@@ -53,6 +55,16 @@ class TestAbsenceProfile:
     def test_unvisited_point_has_no_profile(self, unit_triangle):
         s = Schedule((0, 1))
         assert absence_profile(s, 2, unit_triangle) is None
+
+    @pytest.mark.parametrize("visits, bad", [((0, 3, 1, 4), 3), ((0, -1, 2), -1)])
+    def test_unknown_point_index_is_an_error(self, unit_triangle, visits, bad):
+        s = Schedule(visits)
+        for call in (lambda: period_length(s, unit_triangle),
+                     lambda: absence_profile(s, 0, unit_triangle),
+                     lambda: point_costs(s, unit_triangle, [2.0]),
+                     lambda: schedule_to_document(s, unit_triangle)):
+            with pytest.raises(ValueError, match=f"unknown point index {bad}$"):
+                call()
 
     def test_single_visit_schedule(self, unit_triangle):
         s = Schedule((1,))
@@ -97,8 +109,62 @@ class TestPointCost:
         assert weighted_objective(s, unit_triangle, 2.0) == 2.0
 
 
+class TestPointCosts:
+    def test_every_point_and_order_from_one_pass(self, line_four):
+        s = Schedule((0, 1, 0, 2, 3, 1))
+        ps = [2.0, 3.0, math.inf]
+        costs = point_costs(s, line_four, ps)
+        assert costs == [[point_cost(s, x, line_four, p) for x in range(4)] for p in ps]
+        assert [worst_weighted(c, line_four) for c in costs] == \
+            [weighted_objective(s, line_four, p) for p in ps]
+
+    def test_unvisited_point_is_unbounded(self, unit_triangle):
+        costs = point_costs(Schedule((0, 1)), unit_triangle, [2.0])[0]
+        assert costs[2] == UNBOUNDED
+        assert worst_weighted(costs, unit_triangle) == UNBOUNDED
+
+    def test_rejects_p_below_two(self, unit_triangle):
+        with pytest.raises(ValueError):
+            point_costs(Schedule((0, 1, 2)), unit_triangle, [2.0, 1.5])
+
+    @pytest.mark.parametrize("visits", [(0, 1, 2), (0,)])
+    def test_overflowing_period_is_an_error(self, visits):
+        big = make_instance(["a", "b", "c"], [1.0, 1.0, 1.0],
+                            [[0.0 if i == j else 1e308 for j in range(3)] for i in range(3)])
+        s = Schedule(visits)
+        if len(visits) == 1:
+            assert period_length(s, big) == 0.0
+            assert point_costs(s, big, [2.0]) == [[0.0, UNBOUNDED, UNBOUNDED]]
+            return
+        for call in (lambda: period_length(s, big), lambda: point_costs(s, big, [2.0]),
+                     lambda: absence_profile(s, 0, big)):
+            with pytest.raises(ValueError, match="period overflows"):
+                call()
+
+
+    def test_power_overflow_is_an_error(self):
+        big = make_instance(["a", "b", "c"], [1.0, 1.0, 1.0],
+                            [[0.0 if i == j else 1e200 for j in range(3)] for i in range(3)])
+        s = Schedule((0, 1, 2))
+        with pytest.raises(ValueError, match="absence cost at p=3 overflows"):
+            point_costs(s, big, [3.0])
+        assert point_costs(s, big, [math.inf]) == [[3e200, 3e200, 3e200]]
+
+
 # ---------------------------------------------------------------------------
 # property tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=schedules_on_metrics())
+def test_profile_kernel_matches_reference_bit_for_bit(case):
+    inst, s = case
+    _, _, period = _profiles(s.visits, inst)
+    profiles, ref_period = reference_profiles(s.visits, inst.dist, inst.n)
+    assert period == ref_period
+    assert [absence_profile(s, x, inst) for x in range(inst.n)] == profiles
+    assert point_costs(s, inst, [2.0, 3.0, math.inf]) == [
+        [_cost_of_gaps(g, p) for g in profiles] for p in (2.0, 3.0, math.inf)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,18 +2,22 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsched import (MixedStrategy, Schedule, UNBOUNDED, absence_profile,
+from patrolsched import (AttackOutcome, MixedStrategy, Schedule, UNBOUNDED, absence_profile,
                          attacker_best_response, expected_return_time,
                          make_instance, mix_tours, per_target_best,
                          period_length, point_cost, strategy_from_document,
-                         strategy_to_document, success_probability)
-from conftest import random_instance
+                         strategy_to_document, strongest_attack,
+                         success_probability)
+from patrolsched import security
+from conftest import (random_instance, reference_best_attack,
+                      reference_profiles, schedules_on_metrics)
 
 
 def grid_best_attack(s, inst, x, steps=2000):
@@ -137,6 +141,54 @@ def test_best_attack_bracketed_by_quadratic_cost(seed, visits):
         c2 = point_cost(s, x, inst, 2.0)
         assert w * c2 / 8.0 <= outcome.utility * (1 + 1e-9)
         assert outcome.utility <= w * c2 / 2.0 * (1 + 1e-9)
+
+
+class TestStrongestAttack:
+    def test_first_maximum_wins(self):
+        outcomes = [AttackOutcome(0, 1.0, 0.5), AttackOutcome(1, 2.0, 0.7),
+                    AttackOutcome(2, 3.0, 0.7)]
+        assert strongest_attack(outcomes) == outcomes[1]
+
+    def test_first_unbounded_wins(self):
+        outcomes = [AttackOutcome(0, 1.0, 0.5), AttackOutcome(1, UNBOUNDED, UNBOUNDED),
+                    AttackOutcome(2, UNBOUNDED, UNBOUNDED)]
+        assert strongest_attack(outcomes) == outcomes[1]
+
+    def test_overflowing_period_is_an_error(self):
+        big = make_instance(["a", "b", "c"], [1.0, 1.0, 1.0],
+                            [[0.0 if i == j else 1e308 for j in range(3)] for i in range(3)])
+        with pytest.raises(ValueError, match="period overflows"):
+            per_target_best(Schedule((0, 1, 2)), big)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=schedules_on_metrics())
+def test_per_target_best_matches_reference_bit_for_bit(case):
+    inst, s = case
+    profiles, period = reference_profiles(s.visits, inst.dist, inst.n)
+    outcomes = per_target_best(s, inst)
+    for x, (gaps, o) in enumerate(zip(profiles, outcomes)):
+        if gaps is None:
+            assert (o.duration, o.utility) == (UNBOUNDED, UNBOUNDED)
+        else:
+            assert (o.duration, o.utility) == reference_best_attack(
+                gaps, period, float(inst.weights[x]))
+    assert attacker_best_response(s, inst) == strongest_attack(outcomes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.01, 10.0),
+                     min_size=1, max_size=24),
+       weight=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       block=st.sampled_from([1, 2, 5, 16, security.SCAN_BLOCK]))
+def test_best_attack_scan_matches_reference_bit_for_bit(gaps, weight, block):
+    """Tied and repeated gaps, weight 0, and scans split into many blocks."""
+    period = 0.0
+    for g in gaps:
+        period += g
+    with mock.patch.object(security, "SCAN_BLOCK", block):
+        got = security._best_attack_on_gaps(np.array(gaps), period, weight)
+    assert got == reference_best_attack(gaps, period, weight)
 
 
 class TestMixedStrategy:
