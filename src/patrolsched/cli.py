@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -454,6 +455,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
 # parser
 
 
+@functools.cache  # one parser per process: building it costs far more than parsing
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patrolsched",

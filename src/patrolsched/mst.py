@@ -2,39 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .instance import Instance
 from .schedule import Schedule
-
-
-class UnionFind:
-    """Disjoint sets over arbitrary hashable items (path compression + size)."""
-
-    def __init__(self, items: Iterable[int]):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in self.parent}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 @dataclass(frozen=True)
@@ -46,28 +19,54 @@ class Tree:
     cost: float
 
 
-def _subset_edges(inst: Instance, subset: Sequence[int]) -> tuple[list[int], list[int], list[float]]:
-    """All pairs within ``subset`` sorted by (distance, u, v) for determinism."""
-    idx = np.asarray(subset, dtype=np.int64)
-    iu, iv = np.triu_indices(len(idx), k=1)
-    us, vs = idx[iu], idx[iv]
-    ws = inst.dist[us, vs]
+def _tree_from_edges(edges: list[tuple[int, int, float]]) -> Tree:
+    """The tree of (u, v, w) edges; its cost sums the w in the order given."""
+    verts = sorted({x for u, v, _ in edges for x in (u, v)})
+    pairs = tuple(sorted((min(u, v), max(u, v)) for u, v, _ in edges))
+    return Tree(vertices=tuple(verts), edges=pairs, cost=float(sum(w for _, _, w in edges)))
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a list-indexed union-find, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _spanning_forest(dist: np.ndarray, vertices: Sequence[int],
+                     us: np.ndarray | None = None, vs: np.ndarray | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kruskal's minimum spanning forest of ``vertices``: (us, vs, ws) arrays.
+
+    The candidate edges are ``(us[i], vs[i])`` with us < vs, by default every
+    pair of the ascending ``vertices``.  They are taken in (distance, u, v)
+    order, so ties are broken the same way on every run, and the accepted
+    edges come back in that order.  The union-find runs over the positions
+    of the points in ``vertices``.
+    """
+    verts = np.asarray(vertices, dtype=np.int64)
+    if us is None:
+        at = np.arange(verts.size)
+        pu, pv = np.nonzero(at[:, None] < at)
+        us, vs = verts[pu], verts[pv]
+    else:
+        pos = np.empty(dist.shape[0], dtype=np.int64)
+        pos[verts] = np.arange(verts.size)
+        pu, pv = pos[us], pos[vs]
+    ws = dist[us, vs]
     order = np.lexsort((vs, us, ws))
-    return us[order].tolist(), vs[order].tolist(), ws[order].tolist()
-
-
-def _kruskal(us: list[int], vs: list[int], ws: list[float],
-             vertices: Sequence[int]) -> list[tuple[int, int, float]]:
-    """Minimum spanning forest of the sorted edges, in acceptance order."""
-    uf = UnionFind(vertices)
-    accepted: list[tuple[int, int, float]] = []
-    want = len(vertices) - 1
-    for u, v, w in zip(us, vs, ws):
-        if uf.union(u, v):
-            accepted.append((u, v, w))
-            if len(accepted) == want:
+    parent = list(range(verts.size))
+    keep: list[int] = []
+    for i, a, b in zip(order.tolist(), pu[order].tolist(), pv[order].tolist()):
+        a, b = _find(parent, a), _find(parent, b)
+        if a != b:
+            parent[b] = a
+            keep.append(i)
+            if len(keep) == verts.size - 1:
                 break
-    return accepted
+    kept = np.array(keep, dtype=np.intp)
+    return us[kept], vs[kept], ws[kept]
 
 
 def _normalize_subset(inst: Instance, subset: Sequence[int] | None) -> tuple[int, ...]:
@@ -90,10 +89,19 @@ def minimum_spanning_tree(inst: Instance, subset: Sequence[int] | None = None) -
     verts = _normalize_subset(inst, subset)
     if len(verts) == 1:
         return Tree(vertices=verts, edges=(), cost=0.0)
-    us, vs, ws = _subset_edges(inst, verts)
-    accepted = _kruskal(us, vs, ws, verts)
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v, _ in accepted))
-    return Tree(vertices=verts, edges=edges, cost=float(sum(w for _, _, w in accepted)))
+    us, vs, ws = _spanning_forest(inst.dist, verts)
+    return _tree_from_edges(list(zip(us.tolist(), vs.tolist(), ws.tolist())))
+
+
+def _adjacency(tree: Tree) -> dict[int, list[int]]:
+    """Every tree vertex's neighbours in ascending order."""
+    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v in adj:
+        adj[v].sort()
+    return adj
 
 
 def euler_shortcut(tree: Tree, start: int) -> Schedule:
@@ -105,12 +113,7 @@ def euler_shortcut(tree: Tree, start: int) -> Schedule:
     """
     if start not in tree.vertices:
         raise ValueError(f"start vertex {start} is not in the tree")
-    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
+    adj = _adjacency(tree)
     order: list[int] = []
     seen = {start}
     stack = [start]

@@ -15,7 +15,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .instance import Instance
-from .mst import _kruskal, _normalize_subset, minimum_spanning_tree
+from .mst import _normalize_subset, _spanning_forest, minimum_spanning_tree
 from .schedule import Schedule, UNBOUNDED, _cost_of_gaps, _validate_p
 
 HELD_KARP_MAX = 16
@@ -294,28 +294,23 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
 
 
 def _grow_spanning_tree(
-    dist: np.ndarray, tree: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dist: np.ndarray, tree: tuple[np.ndarray, np.ndarray],
     old: np.ndarray, new: np.ndarray,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
-    """MST of ``old`` + ``new`` from ``tree``, the (u, v, w) edges of MST(old).
+) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """MST of ``old`` + ``new`` from ``tree``, the (u, v) edges of MST(old).
 
     By the cycle property MST(old + new) lies within MST(old) plus the edges
-    touching ``new``, so Kruskal runs on just those candidates, sorted by
-    (distance, u, v) like ``minimum_spanning_tree``: the tree and the cost,
-    summed in that order, are the same as a fresh MST of the union.
+    touching ``new``, so Kruskal runs on just those candidates, in the
+    (distance, u, v) order of ``minimum_spanning_tree``: the tree and the
+    cost, summed in that order, are the same as a fresh MST of the union.
     """
     iu, iv = np.triu_indices(new.size, k=1)
     a = np.concatenate([np.repeat(new, old.size), new[iu]])
     b = np.concatenate([np.tile(old, new.size), new[iv]])
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    us = np.concatenate([tree[0], lo])
-    vs = np.concatenate([tree[1], hi])
-    ws = np.concatenate([tree[2], dist[lo, hi]])
-    order = np.lexsort((vs, us, ws))
-    accepted = _kruskal(us[order].tolist(), vs[order].tolist(), ws[order].tolist(),
-                        np.concatenate([old, new]).tolist())
-    tu, tv, tw = zip(*accepted)
-    return (np.array(tu), np.array(tv), np.array(tw)), float(sum(tw))
+    us, vs, ws = _spanning_forest(dist, np.concatenate([old, new]),
+                                  np.concatenate([tree[0], np.minimum(a, b)]),
+                                  np.concatenate([tree[1], np.maximum(a, b)]))
+    return (us, vs), float(sum(ws.tolist()))
 
 
 @np.errstate(over="ignore")  # a tour too long for a double costs inf
@@ -356,7 +351,7 @@ def lower_bound(inst: Instance) -> float:
         tsp.update((e, float(np.min(_closing_costs(table, sub, e))))
                    for e in ends if 2 <= e <= tsp_size)
     empty = np.zeros(0, dtype=np.int64)
-    tree, covered = (empty, empty, np.zeros(0)), 0
+    tree, covered = (empty, empty), 0
     for end in ends:
         if end <= HELD_KARP_MAX:
             cost = tsp[end]

@@ -137,18 +137,20 @@ def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
         return max(gaps)
     num = 0.0
     den = 0.0
-    if p == 2.0:
-        for g in gaps:
-            num += g * g
-            den += g
-    else:
-        try:
+    try:
+        if p == 2.0:
+            for g in gaps:
+                num += g * g
+                den += g
+        else:
             for g in gaps:
                 num += g ** p
                 den += g ** (p - 1.0)
-        except OverflowError:
-            raise ValueError(f"absence cost at p={p:g} overflows: an absence "
-                             f"length to the power p exceeds the float range") from None
+    except OverflowError:
+        num = math.inf
+    if math.isinf(num):  # a power, or the sum of the powers, passed the float range
+        raise ValueError(f"absence cost at p={p:g} overflows: the absence lengths "
+                         f"to the power p exceed the float range")
     if den == 0.0:
         return 0.0  # only when every gap is 0 (single-visit schedule)
     return num / den

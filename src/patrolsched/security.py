@@ -104,7 +104,8 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
     On each interval between consecutive sorted absence lengths the utility
     is a downward parabola in t, so the maximum is at an interval endpoint or
     the parabola vertex.  Every candidate is scored, in blocks of at most
-    :data:`SCAN_BLOCK` pairs; ties resolve to the smallest duration.
+    :data:`SCAN_BLOCK` pairs; ties resolve to the smallest duration.  A
+    utility past the float range raises ValueError.
     """
     if period == 0.0:
         return 0.0, 0.0
@@ -124,7 +125,9 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
     for a in range(0, len(candidates), rows):
         t = candidates[a:a + rows]
         u = weight * t * _excess(ls, t) / period
-        u = np.where(u > 0.0, u, 0.0)  # NaN never wins
+        if not np.isfinite(u).all():
+            raise ValueError("attack utility overflows: an attack duration times "
+                             "its weighted excess exceeds the float range")
         i = int(np.argmax(u))
         if u[i] > best_u:
             best_t, best_u = float(t[i]), float(u[i])
@@ -140,8 +143,8 @@ def per_target_best(s: Schedule, inst: Instance) -> list[AttackOutcome]:
     gaps, starts, period = _profiles(s.visits, inst)
     bounds = starts.tolist()
     out: list[AttackOutcome] = []
-    # a utility past the float range is inf, silently, as in Python float math
-    with np.errstate(over="ignore"):
+    # a utility past the float range raises ValueError, without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
         for x, (w, i, j) in enumerate(zip(inst.weights.tolist(), bounds, bounds[1:])):
             if i == j:
                 out.append(AttackOutcome(target=x, duration=UNBOUNDED, utility=UNBOUNDED))

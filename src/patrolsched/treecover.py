@@ -7,20 +7,23 @@ spanning forest of what remains, and chops each component MST into edge-
 disjoint pieces — at most one piece lighter than 2B per component, all other
 pieces weighing in [2B, 4B).  If the pieces fit into k trees the budget is
 feasible.  In Kruskal order the minimum spanning forest of the edges <= B
-is the subset MST's prefix of edges <= B, so the MST is built once per cover
-and every budget probe reads a prefix of it.  ``minmax_tree_cover`` then
+is the subset MST's prefix of edges <= B, so one Kruskal builds the MST
+once per cover and every budget probe labels the components of its prefix
+of edges <= B with a union-find.  ``minmax_tree_cover`` then
 binary-searches the smallest feasible budget; every tree it returns costs at
 most 4*(1+eps) times the optimal min-max tree cost.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .instance import Instance
-from .mst import Tree, UnionFind, _kruskal, _normalize_subset, _subset_edges
+from .mst import (Tree, _adjacency, _find, _normalize_subset, _spanning_forest,
+                  _tree_from_edges)
 
 
 @dataclass(frozen=True)
@@ -38,12 +41,6 @@ class TreeCover:
     @property
     def max_cost(self) -> float:
         return max(t.cost for t in self.trees)
-
-
-def _tree_from_edges(edges: list[tuple[int, int, float]]) -> Tree:
-    verts = sorted({v for u, w, _ in edges for v in (u, w)})
-    pairs = tuple(sorted((min(u, v), max(u, v)) for u, v, _ in edges))
-    return Tree(vertices=tuple(verts), edges=pairs, cost=float(sum(w for _, _, w in edges)))
 
 
 def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
@@ -68,12 +65,7 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
     if tree.cost < target:
         return [tree]
 
-    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
+    adj = _adjacency(tree)
     root = min(tree.vertices)
 
     pieces: list[list[tuple[int, int, float]]] = []
@@ -120,33 +112,32 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
 
 
 def _forest_at_budget(
-    mst: list[tuple[int, int, float]], budget: float, verts: Sequence[int],
+    mst: tuple[np.ndarray, ...], budget: float, verts: Sequence[int],
 ) -> list[tuple[tuple[int, ...], list[tuple[int, int, float]], float]]:
     """Per-component (vertices, MST edges, MST cost) after dropping edges > budget.
 
-    ``mst`` holds the MST edges in Kruskal order; the forest is its prefix of
-    edges <= budget.
+    ``mst`` holds the MST of the ascending ``verts`` in Kruskal order; the
+    forest is its prefix of edges <= budget.  Components come in order of
+    their lowest vertex, their edges in Kruskal order.
     """
-    accepted = mst[:bisect_right([w for _, _, w in mst], budget)]
-    uf = UnionFind(verts)
-    for u, v, _ in accepted:
-        uf.union(u, v)
-    comp_verts: dict[int, list[int]] = {}
-    for v in verts:
-        comp_verts.setdefault(uf.find(v), []).append(v)
-    comp_edges: dict[int, list[tuple[int, int, float]]] = {r: [] for r in comp_verts}
-    for u, v, w in accepted:
-        comp_edges[uf.find(u)].append((u, v, w))
-    out = []
-    for root in sorted(comp_verts, key=lambda r: min(comp_verts[r])):
-        edges = comp_edges[root]
-        out.append((tuple(sorted(comp_verts[root])), edges,
-                    float(sum(w for _, _, w in edges))))
-    return out
+    us, vs, ws = mst
+    cut = int(np.searchsorted(ws, budget, side="right"))
+    edges = list(zip(us[:cut].tolist(), vs[:cut].tolist(), ws[:cut].tolist()))
+    heads = np.searchsorted(verts, us[:cut]).tolist()
+    parent = list(range(len(verts)))
+    for a, b in zip(heads, np.searchsorted(verts, vs[:cut]).tolist()):
+        parent[_find(parent, b)] = _find(parent, a)
+    roots = [_find(parent, i) for i in range(len(verts))]
+    comps: dict[int, tuple[list[int], list[tuple[int, int, float]]]] = {}
+    for v, root in zip(verts, roots):
+        comps.setdefault(root, ([], []))[0].append(v)
+    for a, edge in zip(heads, edges):
+        comps[roots[a]][1].append(edge)
+    return [(tuple(cv), ce, float(sum(w for _, _, w in ce))) for cv, ce in comps.values()]
 
 
 def _try_budget_on_mst(
-    inst: Instance, mst: list[tuple[int, int, float]], mst_cost: float,
+    inst: Instance, mst: tuple[np.ndarray, ...], mst_cost: float,
     verts: Sequence[int], k: int, budget: float,
 ) -> TreeCover | None:
     comps = _forest_at_budget(mst, budget, verts)
@@ -165,14 +156,6 @@ def _try_budget_on_mst(
     return TreeCover(trees=tuple(trees), budget_used=float(budget), k=k, mst_cost=mst_cost)
 
 
-def _subset_mst(inst: Instance, verts: Sequence[int]
-                ) -> tuple[list[float], list[tuple[int, int, float]], float]:
-    """All pair lengths of ``verts`` in ascending order, and their MST edges and cost."""
-    us, vs, ws = _subset_edges(inst, verts)
-    mst = _kruskal(us, vs, ws, verts)
-    return ws, mst, float(sum(w for _, _, w in mst))
-
-
 def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: float) -> TreeCover | None:
     """Tree cover of ``subset`` under a fixed budget, or None if infeasible.
 
@@ -188,8 +171,8 @@ def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: flo
     if len(verts) == 1:
         return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=float(budget), k=k,
                          mst_cost=0.0)
-    _, mst, mst_cost = _subset_mst(inst, verts)
-    return _try_budget_on_mst(inst, mst, mst_cost, verts, k, budget)
+    mst = _spanning_forest(inst.dist, verts)
+    return _try_budget_on_mst(inst, mst, float(sum(mst[2].tolist())), verts, k, budget)
 
 
 def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
@@ -211,19 +194,22 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
     if len(verts) == 1:
         return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=0.0, k=k, mst_cost=0.0)
 
-    ws, mst, mst_cost = _subset_mst(inst, verts)
+    mst = _spanning_forest(inst.dist, verts)
+    mst_cost = float(sum(mst[2].tolist()))
 
     def probe(budget: float) -> TreeCover | None:
         return _try_budget_on_mst(inst, mst, mst_cost, verts, k, budget)
 
-    lo = ws[0] / 2.0  # below this every edge is dropped: n singletons
+    shortest = float(mst[2][0])  # the first Kruskal edge
+    lo = shortest / 2.0  # below this every edge is dropped: n singletons
     if lo == 0.0:
-        raise ValueError(f"shortest distance {ws[0]!r} is too small to bisect: "
+        raise ValueError(f"shortest distance {shortest!r} is too small to bisect: "
                          "half of it underflows to 0")
     cover = probe(lo)
     if cover is not None:
         return cover
-    hi = max(mst_cost, ws[-1])  # keeps every edge light even under triangle slack
+    sub = inst.dist[np.ix_(verts, verts)]
+    hi = max(mst_cost, float(sub.max()))  # keeps every edge light even under triangle slack
     if math.isinf(hi):
         raise ValueError("MST cost is not finite: the distances are too large "
                          "to sum in floating point")
@@ -244,12 +230,12 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
     # Snap to the smallest feasible critical budget in (lo, hi]: feasibility
     # only changes where the dropped-edge set changes (an edge length) or
     # where some floor(cost / 2B) changes (cost / (2m)).
-    cands = {w for w in ws if lo < w <= hi}
+    cands = set(sub[(sub > lo) & (sub <= hi)].tolist())
     for _, _, cost in _forest_at_budget(mst, hi, verts):
         if cost <= 0.0:
             continue
         m_lo = max(1, math.ceil(cost / (2.0 * hi)))
-        m_hi = math.floor(cost / (2.0 * lo)) if lo > 0 else m_lo + 4
+        m_hi = math.floor(cost / (2.0 * lo))
         for m in range(m_lo, min(m_hi, m_lo + 64) + 1):
             b = cost / (2.0 * m)
             if lo < b <= hi:

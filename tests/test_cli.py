@@ -396,6 +396,13 @@ class TestUsage:
     def test_no_arguments_exits_2(self):
         assert main([]) == 2
 
+    def test_one_parser_per_process(self, triangle_file):
+        assert patrolsched.cli._build_parser() is patrolsched.cli._build_parser()
+        assert main(["--help"]) == 0
+        assert main(["frobnicate"]) == 2
+        assert main(["validate", str(triangle_file)]) == 0
+        assert main(["validate", str(triangle_file)]) == 0
+
     def test_unknown_subcommand_exits_2(self):
         assert main(["frobnicate"]) == 2
 
@@ -409,17 +416,21 @@ class TestUsage:
 class TestExtremeScales:
     """Distances at the ends of the double range fail cleanly, never hang."""
 
-    @pytest.mark.parametrize("command, dist, weights", [
-        ("plan", 1e308, [1, 1]),               # sums overflow to inf
-        ("plan", 1e308, [1, 1, 1]),            # the class MST overflows to inf
-        ("plan", 5e-324, [1, 1, 1]),           # half the shortest edge underflows to 0
-        ("plan", 1e-320, [1, 0.5, 0.5, 0.5]),  # the budget bisection stops splitting
-        ("oracle-tsp", 1e308, [1, 1, 1]),      # every tour overflows to inf
-        ("eval", 1e308, [1, 1, 1]),            # the schedule's period overflows to inf
-        ("attack", 1e308, [1, 1, 1]),
+    @pytest.mark.parametrize("command, dist, weights, message", [
+        ("plan", 1e308, [1, 1], ""),               # sums overflow to inf
+        ("plan", 1e308, [1, 1, 1], ""),            # the class MST overflows to inf
+        ("plan", 5e-324, [1, 1, 1], ""),           # half the shortest edge underflows to 0
+        ("plan", 1e-320, [1, 0.5, 0.5, 0.5], ""),  # the budget bisection stops splitting
+        ("oracle-tsp", 1e308, [1, 1, 1], ""),      # every tour overflows to inf
+        ("eval", 1e308, [1, 1, 1], "period overflows"),  # the period overflows to inf
+        ("attack", 1e308, [1, 1, 1], "period overflows"),
+        # a finite period whose squared gap, or duration times excess, is not
+        ("eval", 1e200, [1, 1, 1], "absence cost at p=2 overflows"),
+        ("attack", 1e200, [1, 1, 1], "attack utility overflows"),
     ], ids=["plan-overflow", "plan-mst-overflow", "plan-underflow", "plan-subnormal",
-         "oracle-tsp-overflow", "eval-overflow", "attack-overflow"])
-    def test_exits_1_with_one_line_error(self, tmp_path, command, dist, weights):
+         "oracle-tsp-overflow", "eval-overflow", "attack-overflow",
+         "eval-p2-overflow", "attack-utility-overflow"])
+    def test_exits_1_with_one_line_error(self, tmp_path, command, dist, weights, message):
         n = len(weights)
         labels = [f"p{i}" for i in range(n)]
         path = tmp_path / "inst.json"
@@ -434,5 +445,4 @@ class TestExtremeScales:
             inputs.append(str(sched))
         proc = run_cli_process(command, *inputs, "--out", str(tmp_path / "report.json"))
         assert_one_line_error(proc)
-        if command in ("eval", "attack"):
-            assert "period overflows" in proc.stderr
+        assert message in proc.stderr

@@ -101,6 +101,58 @@ def test_mst_cost_matches_exhaustive_enumeration(seed, m):
     assert tree.cost == pytest.approx(brute_force_mst_cost(inst, subset), rel=1e-12)
 
 
+def sorted_pairs_kruskal(inst, subset):
+    """Plain Kruskal over every pair of ``subset``, sorted by (distance, u, v)."""
+    verts = sorted(subset)
+    pairs = sorted((float(inst.dist[u, v]), u, v)
+                   for i, u in enumerate(verts) for v in verts[i + 1:])
+    parent = {v: v for v in verts}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    accepted = []
+    for w, u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            accepted.append((u, v, w))
+    return tuple(sorted((u, v) for u, v, _ in accepted)), sum(w for _, _, w in accepted)
+
+
+@st.composite
+def grid_subsets(draw):
+    """An L1 metric on distinct integer grid points (many tied distances) and a subset.
+
+    Scaling by 0.1 or 1/3 keeps the ties but makes the float sums inexact, so
+    the cost shows the summation order.
+    """
+    side = draw(st.integers(2, 7))
+    n = draw(st.integers(2, min(40, side * side)))
+    cells = draw(st.lists(st.integers(0, side * side - 1), min_size=n, max_size=n,
+                          unique=True))
+    xy = np.array([divmod(c, side) for c in cells], dtype=float)
+    dist = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+    dist *= draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+    inst = make_instance([f"p{i}" for i in range(n)], [1.0] * n, dist)
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return inst, subset
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=grid_subsets())
+def test_mst_equals_sorted_pairs_kruskal_bit_for_bit(case):
+    inst, subset = case
+    tree = minimum_spanning_tree(inst, subset)
+    edges, cost = sorted_pairs_kruskal(inst, subset)
+    assert tree.edges == edges
+    assert tree.cost == cost and type(tree.cost) is float
+    full = minimum_spanning_tree(inst)
+    assert (full.edges, full.cost) == sorted_pairs_kruskal(inst, range(inst.n))
+
+
 class TestEulerShortcut:
     def test_visits_every_tree_vertex_once(self, line_four):
         tree = minimum_spanning_tree(line_four)
