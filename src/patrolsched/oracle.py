@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .instance import Instance
+from .instance import TRIANGLE_TOL, Instance
 from .mst import _normalize_subset, _spanning_forest, minimum_spanning_tree
 from .schedule import Schedule, UNBOUNDED, _cost_of_gaps, _validate_p
 
@@ -218,7 +218,9 @@ def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> Oracl
     for target_len in range(n, max_period + 1):
         extend(1, 1, 1)
 
-    assert best_seq is not None
+    if best_seq is None:  # every candidate scored inf
+        raise ValueError("every patrol's weighted objective overflows to inf: the "
+                         "distances are too large to sum in floating point")
     return OracleResult(float(best), Schedule(best_seq), bound)
 
 
@@ -288,7 +290,9 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
         if worst < best:
             best = worst
             best_partition = partition
-    assert best_partition is not None
+    if best_partition is None:  # every candidate scored inf
+        raise ValueError("every partition's tree cost overflows to inf: the "
+                         "distances are too large to sum in floating point")
     return OracleResult(float(best), best_partition,
                         {"method": "set-partitions", "points": m, "parts": k})
 
@@ -313,6 +317,31 @@ def _grow_spanning_tree(
     return (us, vs), float(sum(ws.tolist()))
 
 
+def _nearest_neighbour_tour(dist: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Greedy closed tour through ``points``, as positions into ``points``.
+
+    It starts at ``points[0]`` and always moves on to the nearest point not
+    yet visited, ties to the earliest in ``points``.
+    """
+    left = np.ones(points.size, dtype=bool)
+    left[0] = False
+    tour = [0]
+    for _ in range(points.size - 1):
+        tour.append(int(np.argmin(np.where(left, dist[points[tour[-1]], points], np.inf))))
+        left[tour[-1]] = False
+    return np.array(tour)
+
+
+def _tour_length(dist: np.ndarray, stops: np.ndarray) -> float:
+    """Length of the closed tour through ``stops``, summed left to right from
+    ``stops[0]``, the closing hop last: the order in which the Held-Karp
+    table sums a tour started at ``stops[0]``."""
+    total = 0.0
+    for hop in dist[stops, np.concatenate((stops[1:], stops[:1]))].tolist():
+        total += hop
+    return total
+
+
 @np.errstate(over="ignore")  # a tour too long for a double costs inf
 def lower_bound(inst: Instance) -> float:
     """Certified lower bound on the best achievable weighted max-absence.
@@ -327,37 +356,82 @@ def lower_bound(inst: Instance) -> float:
       keep returning to both sides).
 
     The levels are computed incrementally.  Points are ranked heaviest
-    first, ties by index, so every level is a prefix of the ranking.  One
-    Held-Karp table over the largest prefix of at most 16 points, started at
-    the heaviest point, gives the exact TSP of every smaller prefix from a
-    single column.  Above 16 points one MST grows level by level: by the
-    cycle property the MST of a level lies within the previous level's tree
-    plus the edges touching the level's new points, so Kruskal re-runs on
-    just those.  Cost O(2^15 * 15^2 + n^2 log n) instead of one fresh TSP or
-    MST per level.  The MST levels equal a fresh MST bit for bit; a TSP
-    level may differ from a tour started at the lowest index by an ulp,
-    since floating-point sums depend on the start.
+    first, ties by index, so every level is a prefix of the ranking.  Above
+    16 points one MST grows level by level: by the cycle property the MST of
+    a level lies within the previous level's tree plus the edges touching
+    the level's new points, so Kruskal re-runs on just those, and the tree
+    and its cost equal a fresh MST bit for bit.  One Held-Karp table over a
+    prefix of at most 16 points, started at the heaviest point, gives the
+    exact TSP of every smaller prefix from a single column; it may differ
+    from a tour started at the lowest index by an ulp, since floating-point
+    sums depend on the start.
+
+    With more than one level, a level whose value provably cannot exceed
+    the best value found so far is skipped, so the returned float is the
+    same as evaluating every level:
+
+    * MST levels (done first).  ``U`` is the length of a nearest-neighbour
+      tour through all n points.  Shortcutting it to a level's points gives
+      a cycle through them, and a cycle minus one edge spans them, so the
+      level's exact MST is at most the shortcut cycle.  The metric passed
+      ``validate_metric`` at ``TRIANGLE_TOL``, so each shortcut stretches
+      the cycle by at most (1 + tol)(1 + u)^3 (u the unit roundoff; at
+      most 1 + 2 tol where the check's product is subnormal), and at most
+      n shortcuts are taken.  The MST cost and ``U`` are float sums of at
+      most n non-negative terms, each within a factor (1 + 2u)^n of the
+      exact sum.  So ``reach = U * (1 + 4 tol)^(n + 2)`` is at least every
+      level's summed MST cost as real numbers, hence, rounding being
+      monotone, at least it as floats, and ``w * reach <= best`` implies
+      the level's ``w * cost <= best``.  Weights fall along the ranking
+      while ``reach`` stays, so the tree stops growing at the first such
+      level.
+    * Held-Karp levels.  The table sums a tour from the heaviest point left
+      to right, the closing hop last, and keeps the minimum over tours at
+      every step; float addition is monotone, so its value for a level is
+      at most that same sum along any one tour of the level.  The bound of
+      a level is that sum along a nearest-neighbour tour of the prefix
+      restricted to the level, exactly, with no margin.  The table is built
+      over the largest level whose bound beats ``best``, or not at all.
+      Since every table entry depends only on its sub-masks, a prefix
+      table gives the same level values as the full one, bit for bit.
+
+    Cost O(2^15 * 15^2 + n^2 log n) at most, instead of one fresh TSP or MST
+    per level.
     """
     n = inst.n
     best = float(np.max(inst.dist)) if n > 1 else 0.0
     order = np.argsort(-inst.weights, kind="stable")
     ranked = inst.weights[order]
     ends = [*(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), n]
-    tsp_size = max((e for e in ends if e <= HELD_KARP_MAX), default=1)
-    tsp = {1: 0.0}
-    if tsp_size >= 2:
-        sub = inst.dist[np.ix_(order[:tsp_size], order[:tsp_size])]
-        table = _held_karp_table(sub)
-        tsp.update((e, float(np.min(_closing_costs(table, sub, e))))
-                   for e in ends if 2 <= e <= tsp_size)
-    empty = np.zeros(0, dtype=np.int64)
-    tree, covered = (empty, empty), 0
-    for end in ends:
-        if end <= HELD_KARP_MAX:
-            cost = tsp[end]
-        else:
+    prune = len(ends) > 1
+    mst_ends = [e for e in ends if e > HELD_KARP_MAX]
+    if mst_ends:
+        reach = math.inf
+        if prune:
+            tour = order[_nearest_neighbour_tour(inst.dist, order)]
+            reach = _tour_length(inst.dist, tour) * (1.0 + 4.0 * TRIANGLE_TOL) ** (n + 2)
+        empty = np.zeros(0, dtype=np.int64)
+        tree, covered = (empty, empty), 0
+        for end in mst_ends:
+            weight = float(ranked[end - 1])
+            if weight * reach <= best:
+                break
             tree, cost = _grow_spanning_tree(inst.dist, tree, order[:covered],
                                              order[covered:end])
             covered = end
-        best = max(best, float(ranked[end - 1]) * cost)
+            best = max(best, weight * cost)
+    tsp_ends = [e for e in ends if 2 <= e <= HELD_KARP_MAX]
+    if tsp_ends:
+        size = tsp_ends[-1]
+        if prune:
+            tour = _nearest_neighbour_tour(inst.dist, order[:size])
+            size = max((e for e in tsp_ends if float(ranked[e - 1]) * _tour_length(
+                inst.dist, order[tour[tour < e]]) > best), default=0)
+        if size:
+            sub = inst.dist[np.ix_(order[:size], order[:size])]
+            table = _held_karp_table(sub)
+            for end in tsp_ends:
+                if end <= size:
+                    cost = float(np.min(_closing_costs(table, sub, end)))
+                    best = max(best, float(ranked[end - 1]) * cost)
     return float(best)

@@ -9,9 +9,17 @@ pieces weighing in [2B, 4B).  If the pieces fit into k trees the budget is
 feasible.  In Kruskal order the minimum spanning forest of the edges <= B
 is the subset MST's prefix of edges <= B, so one Kruskal builds the MST
 once per cover and every budget probe labels the components of its prefix
-of edges <= B with a union-find.  ``minmax_tree_cover`` then
-binary-searches the smallest feasible budget; every tree it returns costs at
-most 4*(1+eps) times the optimal min-max tree cost.
+of edges <= B with a union-find.
+
+Feasibility is not monotone in the budget: on a line at 5, 8, 10, 16, 24,
+31, 38 with k = 2, B = 22/3 is feasible and B = 8 is not, because merging
+two components at an edge weight can raise the piece count by one.  Every
+budget at or above the optimal min-max tree cost is feasible, though, so an
+infeasible budget lies below the optimum.  ``minmax_tree_cover``
+binary-searches between an infeasible and a feasible budget; its probes
+only count pieces, and it builds the trees once, at the budget it returns.
+That budget is within a factor 1+eps of an infeasible one, so every tree
+costs at most 4*(1+eps) times the optimal min-max tree cost.
 """
 from __future__ import annotations
 
@@ -136,23 +144,28 @@ def _forest_at_budget(
     return [(tuple(cv), ce, float(sum(w for _, _, w in ce))) for cv, ce in comps.values()]
 
 
-def _try_budget_on_mst(
-    inst: Instance, mst: tuple[np.ndarray, ...], mst_cost: float,
-    verts: Sequence[int], k: int, budget: float,
-) -> TreeCover | None:
-    comps = _forest_at_budget(mst, budget, verts)
+def _fits(mst: tuple[np.ndarray, ...], verts: Sequence[int], k: int,
+          budget: float) -> bool:
+    """Whether the forest at ``budget`` splits into at most k pieces."""
     needed = 0
-    for _, _, cost in comps:
+    for _, _, cost in _forest_at_budget(mst, budget, verts):
         needed += math.floor(cost / (2.0 * budget)) + 1
         if needed > k:
-            return None
+            return False
+    return True
+
+
+def _cover_at(
+    inst: Instance, mst: tuple[np.ndarray, ...], mst_cost: float,
+    verts: Sequence[int], k: int, budget: float,
+) -> TreeCover:
+    """The pieces of every component of the forest at ``budget``."""
     trees: list[Tree] = []
-    for comp_vs, edges, cost in comps:
+    for comp_vs, edges, _ in _forest_at_budget(mst, budget, verts):
         if not edges:
             trees.append(Tree(vertices=comp_vs, edges=(), cost=0.0))
         else:
-            comp_tree = _tree_from_edges(edges)
-            trees.extend(decompose_tree(inst, comp_tree, budget))
+            trees.extend(decompose_tree(inst, _tree_from_edges(edges), budget))
     return TreeCover(trees=tuple(trees), budget_used=float(budget), k=k, mst_cost=mst_cost)
 
 
@@ -161,7 +174,9 @@ def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: flo
 
     Feasibility: after dropping edges longer than ``budget``, each component's
     MST of cost c supports floor(c / (2*budget)) + 1 pieces; the budget fails
-    when those counts sum past ``k``.  Feasibility is monotone in the budget.
+    when those counts sum past ``k``.  Feasibility is not monotone in the
+    budget (see the module docstring), but every budget at or above the
+    optimal min-max tree cost is feasible.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -172,7 +187,9 @@ def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: flo
         return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=float(budget), k=k,
                          mst_cost=0.0)
     mst = _spanning_forest(inst.dist, verts)
-    return _try_budget_on_mst(inst, mst, float(sum(mst[2].tolist())), verts, k, budget)
+    if not _fits(mst, verts, k, budget):
+        return None
+    return _cover_at(inst, mst, float(sum(mst[2].tolist())), verts, k, budget)
 
 
 def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
@@ -180,11 +197,13 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
     """Cover ``subset`` with <= k trees, max tree cost <= 4*(1+eps)*optimum.
 
     Binary search over the budget on [min distance / 2, MST cost] down to
-    relative precision ``eps``; the budget range's upper end is always
-    feasible, so a cover always exists.  After the search the budget is
-    snapped down to the smallest feasible critical value (an edge length or a
-    component-MST fraction) inside the final bracket, which makes small
-    hand-traceable cases exact.
+    relative precision ``eps``, keeping an infeasible lower and a feasible
+    upper end; the budget range's upper end is always feasible, so a cover
+    always exists.  After the search the budget is snapped down to the
+    smallest feasible critical value (an edge length or a component-MST
+    fraction) inside the final bracket, which makes small hand-traceable
+    cases exact.  Probes only test feasibility; the trees are built once,
+    for the budget returned.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -197,35 +216,35 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
     mst = _spanning_forest(inst.dist, verts)
     mst_cost = float(sum(mst[2].tolist()))
 
-    def probe(budget: float) -> TreeCover | None:
-        return _try_budget_on_mst(inst, mst, mst_cost, verts, k, budget)
+    def fits(budget: float) -> bool:
+        return _fits(mst, verts, k, budget)
+
+    def cover_at(budget: float) -> TreeCover:
+        return _cover_at(inst, mst, mst_cost, verts, k, budget)
 
     shortest = float(mst[2][0])  # the first Kruskal edge
     lo = shortest / 2.0  # below this every edge is dropped: n singletons
     if lo == 0.0:
         raise ValueError(f"shortest distance {shortest!r} is too small to bisect: "
                          "half of it underflows to 0")
-    cover = probe(lo)
-    if cover is not None:
-        return cover
+    if fits(lo):
+        return cover_at(lo)
     sub = inst.dist[np.ix_(verts, verts)]
     hi = max(mst_cost, float(sub.max()))  # keeps every edge light even under triangle slack
     if math.isinf(hi):
         raise ValueError("MST cost is not finite: the distances are too large "
                          "to sum in floating point")
-    best = probe(hi)
-    if best is None:  # cannot happen: a single-piece cover always fits k >= 1
+    if not fits(hi):  # cannot happen: a single-piece cover always fits k >= 1
         raise RuntimeError("tree cover search failed at its upper budget bound")
 
     while hi - lo > eps * lo:
         mid = 0.5 * lo + 0.5 * hi  # cannot overflow, unlike 0.5 * (lo + hi)
         if not lo < mid < hi:  # no double splits the bracket: subnormal or inf ends
             raise ValueError(f"tree cover budget search stalled in [{lo!r}, {hi!r}]")
-        attempt = probe(mid)
-        if attempt is None:
-            lo = mid
+        if fits(mid):
+            hi = mid
         else:
-            hi, best = mid, attempt
+            lo = mid
 
     # Snap to the smallest feasible critical budget in (lo, hi]: feasibility
     # only changes where the dropped-edge set changes (an edge length) or
@@ -243,7 +262,6 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
     for b in sorted(cands):
         if b == hi:
             break
-        attempt = probe(b)
-        if attempt is not None:
-            return attempt
-    return best
+        if fits(b):
+            return cover_at(b)
+    return cover_at(hi)

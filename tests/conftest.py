@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from patrolsched import (Instance, RandomSpec, Schedule, generate_random,
                          make_instance, minimum_spanning_tree)
-from patrolsched.oracle import HELD_KARP_MAX
+from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _grow_spanning_tree,
+                                _held_karp_table)
 
 # Per-criterion verdict lines recorded by the acceptance suite; echoed in the
 # terminal summary so they survive output capture in plain ``pytest`` runs.
@@ -153,6 +154,40 @@ def reference_lower_bound(inst: Instance) -> float:
             cost = minimum_spanning_tree(inst, verts.tolist()).cost
         best = max(best, w * cost)
     return best
+
+
+@np.errstate(over="ignore")  # a tour too long for a double costs inf
+def reference_incremental_lower_bound(inst: Instance) -> float:
+    """The incremental lower bound evaluated at every weight level, unpruned.
+
+    Test-only reference for the pruned ``lower_bound``: the same ranking,
+    one Held-Karp table over the largest prefix of at most 16 points, and
+    one MST grown through every larger level, so the two must agree bit
+    for bit.
+    """
+    n = inst.n
+    best = float(np.max(inst.dist)) if n > 1 else 0.0
+    order = np.argsort(-inst.weights, kind="stable")
+    ranked = inst.weights[order]
+    ends = [*(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), n]
+    tsp_size = max((e for e in ends if e <= HELD_KARP_MAX), default=1)
+    tsp = {1: 0.0}
+    if tsp_size >= 2:
+        sub = inst.dist[np.ix_(order[:tsp_size], order[:tsp_size])]
+        table = _held_karp_table(sub)
+        tsp.update((e, float(np.min(_closing_costs(table, sub, e))))
+                   for e in ends if 2 <= e <= tsp_size)
+    empty = np.zeros(0, dtype=np.int64)
+    tree, covered = (empty, empty), 0
+    for end in ends:
+        if end <= HELD_KARP_MAX:
+            cost = tsp[end]
+        else:
+            tree, cost = _grow_spanning_tree(inst.dist, tree, order[:covered],
+                                             order[covered:end])
+            covered = end
+        best = max(best, float(ranked[end - 1]) * cost)
+    return float(best)
 
 
 def reference_profiles(visits, dist: np.ndarray, n: int) -> tuple[list[list[float] | None], float]:

@@ -427,9 +427,13 @@ class TestExtremeScales:
         # a finite period whose squared gap, or duration times excess, is not
         ("eval", 1e200, [1, 1, 1], "absence cost at p=2 overflows"),
         ("attack", 1e200, [1, 1, 1], "attack utility overflows"),
+        # every candidate of the exhaustive oracles scores inf
+        ("oracle-opt", 1e308, [1, 1, 1], "objective overflows"),
+        ("oracle-cover --k 1", 1e308, [1, 1, 1], "tree cost overflows"),
     ], ids=["plan-overflow", "plan-mst-overflow", "plan-underflow", "plan-subnormal",
          "oracle-tsp-overflow", "eval-overflow", "attack-overflow",
-         "eval-p2-overflow", "attack-utility-overflow"])
+         "eval-p2-overflow", "attack-utility-overflow",
+         "oracle-opt-overflow", "oracle-cover-overflow"])
     def test_exits_1_with_one_line_error(self, tmp_path, command, dist, weights, message):
         n = len(weights)
         labels = [f"p{i}" for i in range(n)]
@@ -438,7 +442,8 @@ class TestExtremeScales:
             "labels": labels, "weights": weights,
             "metric": {"type": "explicit", "dist": [
                 [0.0 if i == j else dist for j in range(n)] for i in range(n)]}}))
-        inputs = [str(path)]
+        command, *flags = command.split()
+        inputs = [str(path), *flags]
         if command in ("eval", "attack"):
             sched = tmp_path / "sched.json"
             sched.write_text(json.dumps({"visits": labels}))

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsched import (Schedule, brute_force_weighted_opt, held_karp_tsp,
-                         lower_bound, make_instance, minimum_spanning_tree,
+from patrolsched import (GEOMETRIES, WEIGHT_LAWS, RandomSpec, Schedule,
+                         brute_force_weighted_opt, generate_random, held_karp_tsp,
+                         lower_bound, make_instance, minimum_spanning_tree, oracle,
                          partition_tree_cover_oracle, period_length,
                          weighted_objective)
+from patrolsched.instance import TRIANGLE_TOL
 from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _held_karp_table,
                                 _paths_to)
 from conftest import (random_instance, random_metric_instance, reference_held_karp,
-                      reference_lower_bound)
+                      reference_incremental_lower_bound, reference_lower_bound)
 
 
 def permutation_tsp(inst, subset):
@@ -212,3 +214,88 @@ def test_lower_bound_matches_per_level_reference(seed, n, levels):
         assert lb == pytest.approx(ref, rel=1e-12)
     else:  # MST levels only: the grown tree is the fresh MST, summed alike
         assert lb == ref
+
+
+@st.composite
+def pruned_bound_instances(draw):
+    """Instances for the pruned ``lower_bound``, at a distance scale 10^k.
+
+    ``generated`` covers both geometries and all three weight laws;
+    ``tied`` draws a few weight values on 10 to 30 points, so levels fall on
+    both sides of 16 points; ``cliff`` puts 17 to 30 points of nearly equal
+    weight over a far lighter tail, so the last level the bound keeps is
+    usually the one that sets it; ``slack`` stretches every distance of an
+    integer L1 grid, full of exact triangle equalities, by up to 0.999 of
+    ``TRIANGLE_TOL``, so shortcuts use almost all the slack the validator
+    allows.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["generated", "tied", "cliff", "slack"]))
+    if kind == "generated":
+        n = draw(st.integers(3, 60))
+        spec = RandomSpec(n=n, weight_law=draw(st.sampled_from(WEIGHT_LAWS)),
+                          geometry=draw(st.sampled_from(GEOMETRIES)))
+        inst = generate_random(spec, seed)
+        dist, weights = inst.dist, inst.weights
+    elif kind == "tied":
+        n = draw(st.integers(HELD_KARP_MAX - 6, HELD_KARP_MAX + 14))
+        dist = random_metric_instance(rng, n).dist
+        levels = draw(st.integers(2, 6))
+        weights = rng.integers(1, levels + 1, size=n) / levels
+    elif kind == "cliff":
+        heavy = draw(st.integers(HELD_KARP_MAX + 1, HELD_KARP_MAX + 14))
+        n = heavy + draw(st.integers(1, 20))
+        dist = random_metric_instance(rng, n).dist
+        weights = np.concatenate([rng.uniform(0.9, 1.0, size=heavy),
+                                  rng.uniform(1e-6, 1e-2, size=n - heavy)])
+    else:
+        n = draw(st.integers(3, 40))
+        cells = rng.choice(64, size=n, replace=False)
+        pts = np.stack([cells // 8, cells % 8], axis=1)
+        base = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+        stretch = np.triu(rng.uniform(0.0, 0.999, size=(n, n)), 1)
+        dist = base * (1.0 + (stretch + stretch.T) * TRIANGLE_TOL)
+        weights = rng.uniform(0.01, 1.0, size=n)
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    return make_instance([f"p{i}" for i in range(n)], weights, dist * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=pruned_bound_instances())
+def test_pruned_lower_bound_is_bit_identical(inst):
+    assert lower_bound(inst).hex() == reference_incremental_lower_bound(inst).hex()
+
+
+def _record_calls(monkeypatch, name):
+    """Replace ``oracle.<name>`` with a wrapper; returns the list of its calls."""
+    calls = []
+    real = getattr(oracle, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, recorded)
+    return calls
+
+
+class TestLowerBoundPruning:
+    def test_single_level_builds_no_tour(self, monkeypatch):
+        tours = _record_calls(monkeypatch, "_nearest_neighbour_tour")
+        for n in (10, 40):
+            lower_bound(random_instance(3, n, "equal"))
+        assert tours == []
+
+    def test_ruled_out_small_levels_build_no_table(self, monkeypatch):
+        # five heavy points a hundredth apart, 30 lighter ones spread over
+        # the unit square: every small level's tour is below the diameter
+        rng = np.random.default_rng(7)
+        coords = np.concatenate([0.5 + 0.01 * rng.uniform(size=(5, 2)),
+                                 rng.uniform(size=(30, 2))])
+        dist = np.hypot(*(coords[:, None, :] - coords[None, :, :]).transpose(2, 0, 1))
+        weights = np.concatenate([np.linspace(1.0, 0.9, 5), np.full(30, 0.5)])
+        inst = make_instance([f"p{i}" for i in range(35)], weights, dist)
+        tables = _record_calls(monkeypatch, "_held_karp_table")
+        assert lower_bound(inst) == reference_incremental_lower_bound(inst)
+        assert tables == []

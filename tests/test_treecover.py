@@ -112,6 +112,15 @@ class TestTryBudget:
         assert cover is not None
         assert cover.max_cost == 0.0
 
+    def test_feasibility_is_not_monotone_in_the_budget(self):
+        # at B = 8 the edge 16-24 joins two components, and the merged
+        # component needs one piece more than the two did apart
+        xs = [5, 8, 10, 16, 24, 31, 38]
+        inst = make_instance([f"x{x}" for x in xs], [1.0] * len(xs),
+                             [[abs(a - b) for b in xs] for a in xs])
+        assert try_budget(inst, None, 2, 22 / 3) is not None
+        assert try_budget(inst, None, 2, 8.0) is None
+
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 9999), n=st.integers(3, 12),
