@@ -21,14 +21,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("corpus", help="directory of instance *.json documents")
     parser.add_argument("--out", default="bench", help="report prefix")
-    parser.add_argument("--eps", type=float, default=1e-6)
     parser.add_argument("--top", type=int, default=5,
                         help="how many worst-ratio rows to print")
     args = parser.parse_args()
 
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    rc = cli_main(["bench", args.corpus, "--eps", str(args.eps),
-                   "--out", args.out])
+    rc = cli_main(["bench", args.corpus, "--out", args.out])
     if rc != 0:
         return rc
 

@@ -200,7 +200,7 @@ def _cmd_gen(args: argparse.Namespace) -> Outcome:
 
 def _cmd_plan(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
-    res = plan(inst, eps=args.eps)
+    res = plan(inst)
     diag = res.diagnostics
     result = {
         "schedule": schedule_to_document(res.schedule, inst),
@@ -244,7 +244,7 @@ def _cmd_plan(args: argparse.Namespace) -> Outcome:
                f"objective_inf={_fmt(obj)}, lower_bound={_fmt(lb)}, "
                f"limit={_fmt(diag['envelope_limit'])}\n"
                f"invariants: {flags}")
-    return {"instance": ref, "parameters": {"eps": args.eps}, "result": result,
+    return {"instance": ref, "parameters": {}, "result": result,
             "invariants": invariants}, summary, 0
 
 
@@ -316,14 +316,14 @@ def _cmd_oracle_cover(args: argparse.Namespace) -> Outcome:
 def _cmd_treecover(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     subset = _parse_subset(inst, args.subset)
-    cover = minmax_tree_cover(inst, subset, args.k, eps=args.eps)
+    cover = minmax_tree_cover(inst, subset, args.k)
     return {
         "instance": ref,
-        "parameters": {"subset": _subset_doc(inst, subset), "k": args.k, "eps": args.eps},
+        "parameters": {"subset": _subset_doc(inst, subset), "k": args.k},
         "result": {
             "budget": cover.budget_used,
             "max_cost": cover.max_cost,
-            "guarantee_factor": 4.0 * (1.0 + args.eps),
+            "guarantee_factor": 4.0,
             "trees": [_tree_doc(t, inst) for t in cover.trees],
         },
     }, (f"treecover: {len(cover.trees)} trees (k={args.k}), "
@@ -379,14 +379,14 @@ _BENCH_COLUMNS = [
 ]
 
 
-def _bench_row(path: Path, eps: float) -> dict[str, Any]:
+def _bench_row(path: Path) -> dict[str, Any]:
     row: dict[str, Any] = {c: None for c in _BENCH_COLUMNS}
     row["file"] = path.name
     data, ref = _read_instance_file(path)
     row["sha256"] = ref["sha256"]
     try:
         inst = load_instance(data.decode())
-        res = plan(inst, eps=eps)
+        res = plan(inst)
         diag = res.diagnostics
         row.update({
             "status": "ok",
@@ -420,7 +420,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
     if not corpus.is_dir():
         raise OSError(f"corpus directory not found: {corpus}")
     files = sorted(corpus.glob("*.json"), key=lambda p: p.name)
-    rows = [_bench_row(path, args.eps) for path in files]
+    rows = [_bench_row(path) for path in files]
 
     ok = [r for r in rows if r["status"] == "ok"]
     failed = [r for r in rows if r["status"] != "ok"]
@@ -444,7 +444,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
                  if summary["max_envelope_ratio"] is not None else "n/a")
     return {
         "corpus": {"path": str(corpus), "files": len(rows)},
-        "parameters": {"eps": args.eps, "seed": args.seed},
+        "parameters": {"seed": args.seed},
         "result": {"summary": summary, "rows": rows},
     }, (f"bench: {summary['instances']} instances, {summary['ok']} ok, "
         f"{summary['failed']} failed, max envelope ratio {ratio_txt}, "
@@ -482,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("plan", _cmd_plan, "compute an approximate patrol schedule")
     p.add_argument("instance")
-    p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--out", help="write a JSON run report")
     p.add_argument("--schedule-out", help="also write the bare schedule document")
 
@@ -520,7 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--subset", help="comma-separated point labels")
     p.add_argument("--k", type=int, required=True, help="maximum number of trees")
-    p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--out", help="write a JSON run report")
 
     p = add("attack", _cmd_attack, "best attacker response against a schedule")
@@ -537,7 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("bench", _cmd_bench, "planner ratio table over a corpus directory",
             report="{}.json")
     p.add_argument("corpus", help="directory of instance *.json documents")
-    p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0,
                    help="echoed into the report for provenance")
     p.add_argument("--out", help="output prefix: writes PREFIX.json and PREFIX.csv")

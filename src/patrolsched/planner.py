@@ -92,8 +92,8 @@ def round_weights(inst: Instance) -> tuple[Instance, tuple[WeightClass, ...]]:
     return planning_inst, classes
 
 
-def build_class_tours(inst: Instance, classes: tuple[WeightClass, ...],
-                      eps: float = 1e-6) -> tuple[list[Schedule], dict[int, TreeCover]]:
+def build_class_tours(inst: Instance, classes: tuple[WeightClass, ...]
+                      ) -> tuple[list[Schedule], dict[int, TreeCover]]:
     """Cover each class with theta trees and shortcut each tree to a tour.
 
     Tours are enumerated heaviest class first; within a class they follow the
@@ -102,7 +102,7 @@ def build_class_tours(inst: Instance, classes: tuple[WeightClass, ...],
     tours: list[Schedule] = []
     covers: dict[int, TreeCover] = {}
     for cls in classes:
-        cover = minmax_tree_cover(inst, cls.members, cls.theta, eps)
+        cover = minmax_tree_cover(inst, cls.members, cls.theta)
         covers[cls.index] = cover
         for tree in cover.trees:
             tours.append(euler_shortcut(tree, min(tree.vertices)))
@@ -143,11 +143,11 @@ def emit_schedule(lists: tuple[TourList, ...]) -> Schedule:
     return Schedule(tuple(visits))
 
 
-def plan(inst: Instance, eps: float = 1e-6) -> PlanResult:
+def plan(inst: Instance) -> PlanResult:
     """Full pipeline; diagnostics carry objectives, the certified lower
     bound, and the per-run invariant checks."""
     planning_inst, classes = round_weights(inst)
-    tours, covers = build_class_tours(planning_inst, classes, eps)
+    tours, covers = build_class_tours(planning_inst, classes)
     lists = build_lists(tours)
     schedule = emit_schedule(lists)
     phases = math.lcm(*(tl.lam for tl in lists))
@@ -175,7 +175,7 @@ def plan(inst: Instance, eps: float = 1e-6) -> PlanResult:
         "envelope_limit": 18.0 * (I + 1),
         "all_points_visited": set().union(*(set(t.visits) for t in tours)) == set(range(inst.n)),
         "list_weight_ok": _check_list_weights(lists, classes),
-        "tree_budget_ok": _check_tree_budgets(classes, covers, eps),
+        "tree_budget_ok": _check_tree_budgets(classes, covers),
     }
     return PlanResult(schedule=schedule, classes=classes, covers=covers,
                       lists=lists, I=I, J=J, phases=phases, diagnostics=diagnostics)
@@ -202,8 +202,8 @@ def _check_list_weights(lists: tuple[TourList, ...],
 
 
 def _check_tree_budgets(classes: tuple[WeightClass, ...],
-                        covers: dict[int, TreeCover], eps: float) -> bool:
-    """theta_i * (max tree cost) <= 4*(1+eps) * MST(class i) for every class.
+                        covers: dict[int, TreeCover]) -> bool:
+    """theta_i * (max tree cost) <= 4 * MST(class i) for every class.
 
     This is what makes the emitted schedule comparable to the lower bound:
     a class's tree budget never exceeds a constant times the cheapest way to
@@ -211,6 +211,6 @@ def _check_tree_budgets(classes: tuple[WeightClass, ...],
     """
     for cls in classes:
         cover = covers[cls.index]
-        if cls.theta * cover.max_cost > 4.0 * (1.0 + eps) * cover.mst_cost:
+        if cls.theta * cover.max_cost > 4.0 * cover.mst_cost:
             return False
     return True

@@ -70,22 +70,25 @@ def _check_points(visits: Sequence[int], n: int) -> np.ndarray:
     return v
 
 
-def _finite_period(period: float) -> float:
+def _hop_sums(v: np.ndarray, inst: Instance) -> tuple[np.ndarray, float]:
+    """Running sums of the hops from ``v[0]`` and the period they end in.
+
+    The hops are folded left to right in visit order, the wrap-around hop
+    last, so the last running sum is the period.  Every period in the
+    package is this sum.
+    """
+    with np.errstate(over="ignore"):
+        cum = inst.dist[v, np.concatenate((v[1:], v[:1]))].cumsum()
+    period = float(cum[-1])
     if not math.isfinite(period):
         raise ValueError(f"schedule period overflows to {period}: "
                          f"the travel times are too long to add up in floating point")
-    return period
+    return cum, period
 
 
 def period_length(s: Schedule, inst: Instance) -> float:
-    """Total travel time of one period, including the wrap-around hop.
-
-    The wrap-around hop is added first, then the hops in visit order.
-    """
-    v = _check_points(s.visits, inst.n)
-    with np.errstate(over="ignore"):
-        total = inst.dist[np.concatenate((v[-1:], v[:-1])), v].cumsum()[-1]
-    return _finite_period(float(total))
+    """Total travel time of one period, including the wrap-around hop (added last)."""
+    return _hop_sums(_check_points(s.visits, inst.n), inst)[1]
 
 
 def _profiles(visits: Sequence[int], inst: Instance) -> tuple[np.ndarray, np.ndarray, float]:
@@ -94,13 +97,10 @@ def _profiles(visits: Sequence[int], inst: Instance) -> tuple[np.ndarray, np.nda
     ``gaps[starts[x]:starts[x+1]]`` are the cyclic gaps between consecutive
     visits of ``x`` (empty if ``x`` never appears), in order of occurrence
     starting from x's first visit, so the wrap-around gap comes last.
-    Visit times are the running sum of the hops from ``visits[0]``, folded
-    left to right; the period adds the wrap-around hop last.
+    Visit times and the period are the running sums of ``_hop_sums``.
     """
     v = _check_points(visits, inst.n)
-    with np.errstate(over="ignore"):
-        cum = inst.dist[v, np.concatenate((v[1:], v[:1]))].cumsum()
-    period = _finite_period(float(cum[-1]))
+    cum, period = _hop_sums(v, inst)
     ts = np.concatenate(((0.0,), cum[:-1]))[v.argsort(kind="stable")]
     starts = np.zeros(inst.n + 1, dtype=np.intp)
     np.bincount(v, minlength=inst.n).cumsum(out=starts[1:])

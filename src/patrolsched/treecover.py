@@ -15,17 +15,16 @@ Feasibility is not monotone in the budget: on a line at 5, 8, 10, 16, 24,
 31, 38 with k = 2, B = 22/3 is feasible and B = 8 is not, because merging
 two components at an edge weight can raise the piece count by one.  Every
 budget at or above the optimal min-max tree cost is feasible, though, so an
-infeasible budget lies below the optimum.  ``minmax_tree_cover``
-binary-searches between an infeasible and a feasible budget; its probes
-only count pieces, and it builds the trees once, at the budget it returns.
-That budget is within a factor 1+eps of an infeasible one, so every tree
-costs at most 4*(1+eps) times the optimal min-max tree cost.
+infeasible budget lies below the optimum.  ``minmax_tree_cover`` searches
+the finitely many budgets where feasibility can change and returns a
+feasible one whose next smaller double is not, so every tree costs at most
+4 times the optimal min-max tree cost, up to one ulp of the optimum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +37,8 @@ from .mst import (Tree, _adjacency, _find, _normalize_subset, _spanning_forest,
 class TreeCover:
     """Trees covering a subset; every tree costs at most ``4 * budget_used``.
 
-    ``mst_cost`` is the cost of the subset's minimum spanning tree.
+    ``mst_cost`` is the cost of the subset's minimum spanning tree.  A cover
+    of at most k points is its singletons, at budget 0.
     """
 
     trees: tuple[Tree, ...]
@@ -144,12 +144,17 @@ def _forest_at_budget(
     return [(tuple(cv), ce, float(sum(w for _, _, w in ce))) for cv, ce in comps.values()]
 
 
+def _pieces(cost: float, budget: float) -> int:
+    """How many pieces a component of MST cost ``cost`` takes at ``budget``."""
+    return math.floor(cost / (2.0 * budget)) + 1
+
+
 def _fits(mst: tuple[np.ndarray, ...], verts: Sequence[int], k: int,
           budget: float) -> bool:
     """Whether the forest at ``budget`` splits into at most k pieces."""
     needed = 0
     for _, _, cost in _forest_at_budget(mst, budget, verts):
-        needed += math.floor(cost / (2.0 * budget)) + 1
+        needed += _pieces(cost, budget)
         if needed > k:
             return False
     return True
@@ -192,76 +197,74 @@ def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: flo
     return _cover_at(inst, mst, float(sum(mst[2].tolist())), verts, k, budget)
 
 
-def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int,
-                      eps: float = 1e-6) -> TreeCover:
-    """Cover ``subset`` with <= k trees, max tree cost <= 4*(1+eps)*optimum.
+def _threshold(cost: float, m: int) -> float:
+    """The smallest positive double b with ``cost / (2*b) < m``: from there on
+    a component of MST cost ``cost`` takes at most m pieces.  The double
+    below ``cost / (2*m)`` lies at or below the real quotient, where the
+    count still exceeds m, so the search only moves up from it."""
+    b = max(cost / (2.0 * m), math.ulp(0.0))
+    while not cost / (2.0 * b) < m:
+        b = math.nextafter(b, math.inf)
+    return b
 
-    Binary search over the budget on [min distance / 2, MST cost] down to
-    relative precision ``eps``, keeping an infeasible lower and a feasible
-    upper end; the budget range's upper end is always feasible, so a cover
-    always exists.  After the search the budget is snapped down to the
-    smallest feasible critical value (an edge length or a component-MST
-    fraction) inside the final bracket, which makes small hand-traceable
-    cases exact.  Probes only test feasibility; the trees are built once,
-    for the budget returned.
+
+def _critical_pair(budgets: list[float], fits: Callable[[float], bool]) -> tuple[float, float]:
+    """Adjacent ``budgets`` lo < hi, lo infeasible and hi feasible, by binary
+    search: the ascending ``budgets`` start infeasible and end feasible."""
+    lo, hi = 0, len(budgets) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(budgets[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return budgets[lo], budgets[hi]
+
+
+def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int) -> TreeCover:
+    """Cover ``subset`` with <= k trees, each costing at most 4 * budget_used.
+
+    n <= k points are covered by their singletons at budget 0.  Otherwise the
+    budget returned is feasible and ``nextafter(budget, 0)`` is not.  Every
+    budget >= OPT, the optimal min-max tree cost, is feasible, so that
+    neighbour lies below OPT: budget_used <= nextafter(OPT).
+
+    The forest changes only at the distinct MST edge weights.  Below the
+    smallest every point is alone, n > k pieces; if the smallest fits it is
+    returned.  Else a binary search over the weights, topped by the MST cost
+    (one component, one piece), finds adjacent weights lo < hi, lo
+    infeasible and hi feasible.  On (lo, hi) the forest is lo's, and its
+    piece count, the sum of floor(c / 2B) + 1, is non-increasing in B because
+    float division is monotone; it drops only at the thresholds
+    ``_threshold(c, m)``, and only m <= k - #components + 1 can matter.  A
+    second binary search returns the smallest feasible threshold inside
+    (lo, hi), or hi.  Probes only count pieces; the trees are built once.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
     verts = _normalize_subset(inst, subset)
-    if len(verts) == 1:
-        return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=0.0, k=k, mst_cost=0.0)
-
     mst = _spanning_forest(inst.dist, verts)
     mst_cost = float(sum(mst[2].tolist()))
+    if len(verts) <= k:
+        return TreeCover(trees=tuple(Tree((v,), (), 0.0) for v in verts),
+                         budget_used=0.0, k=k, mst_cost=mst_cost)
+    if math.isinf(mst_cost):
+        raise ValueError("MST cost is not finite: the distances are too large "
+                         "to sum in floating point")
 
     def fits(budget: float) -> bool:
         return _fits(mst, verts, k, budget)
 
-    def cover_at(budget: float) -> TreeCover:
-        return _cover_at(inst, mst, mst_cost, verts, k, budget)
-
-    shortest = float(mst[2][0])  # the first Kruskal edge
-    lo = shortest / 2.0  # below this every edge is dropped: n singletons
-    if lo == 0.0:
-        raise ValueError(f"shortest distance {shortest!r} is too small to bisect: "
-                         "half of it underflows to 0")
-    if fits(lo):
-        return cover_at(lo)
-    sub = inst.dist[np.ix_(verts, verts)]
-    hi = max(mst_cost, float(sub.max()))  # keeps every edge light even under triangle slack
-    if math.isinf(hi):
-        raise ValueError("MST cost is not finite: the distances are too large "
-                         "to sum in floating point")
-    if not fits(hi):  # cannot happen: a single-piece cover always fits k >= 1
-        raise RuntimeError("tree cover search failed at its upper budget bound")
-
-    while hi - lo > eps * lo:
-        mid = 0.5 * lo + 0.5 * hi  # cannot overflow, unlike 0.5 * (lo + hi)
-        if not lo < mid < hi:  # no double splits the bracket: subnormal or inf ends
-            raise ValueError(f"tree cover budget search stalled in [{lo!r}, {hi!r}]")
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    # Snap to the smallest feasible critical budget in (lo, hi]: feasibility
-    # only changes where the dropped-edge set changes (an edge length) or
-    # where some floor(cost / 2B) changes (cost / (2m)).
-    cands = set(sub[(sub > lo) & (sub <= hi)].tolist())
-    for _, _, cost in _forest_at_budget(mst, hi, verts):
-        if cost <= 0.0:
-            continue
-        m_lo = max(1, math.ceil(cost / (2.0 * hi)))
-        m_hi = math.floor(cost / (2.0 * lo))
-        for m in range(m_lo, min(m_hi, m_lo + 64) + 1):
-            b = cost / (2.0 * m)
-            if lo < b <= hi:
-                cands.add(b)
-    for b in sorted(cands):
-        if b == hi:
-            break
-        if fits(b):
-            return cover_at(b)
-    return cover_at(hi)
+    weights = sorted(set(mst[2].tolist()))
+    if fits(weights[0]):
+        return _cover_at(inst, mst, mst_cost, verts, k, weights[0])
+    if mst_cost > weights[-1]:
+        weights.append(mst_cost)
+    lo, hi = _critical_pair(weights, fits)
+    forest = _forest_at_budget(mst, lo, verts)
+    spare = k - len(forest) + 1  # the most pieces any one component may take
+    # _threshold(cost, m) is in (lo, hi] iff cost takes > m pieces at lo, <= m at hi
+    thresholds = {_threshold(cost, m) for _, _, cost in forest
+                  for m in range(_pieces(cost, hi), min(spare, _pieces(cost, lo) - 1) + 1)}
+    _, budget = _critical_pair([lo, *sorted(thresholds - {hi}), hi], fits)
+    return _cover_at(inst, mst, mst_cost, verts, k, budget)

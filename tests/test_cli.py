@@ -413,14 +413,24 @@ class TestUsage:
         assert main(["oracle-opt", str(triangle_file), "--max-period", "1"]) == 1
 
 
+def write_equidistant(tmp_path, dist, weights):
+    """An instance file with every pair of points ``dist`` apart; its labels."""
+    n = len(weights)
+    labels = [f"p{i}" for i in range(n)]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "labels": labels, "weights": weights,
+        "metric": {"type": "explicit", "dist": [
+            [0.0 if i == j else dist for j in range(n)] for i in range(n)]}}))
+    return path, labels
+
+
 class TestExtremeScales:
-    """Distances at the ends of the double range fail cleanly, never hang."""
+    """Distances at the ends of the double range plan or fail cleanly, never hang."""
 
     @pytest.mark.parametrize("command, dist, weights, message", [
         ("plan", 1e308, [1, 1], ""),               # sums overflow to inf
         ("plan", 1e308, [1, 1, 1], ""),            # the class MST overflows to inf
-        ("plan", 5e-324, [1, 1, 1], ""),           # half the shortest edge underflows to 0
-        ("plan", 1e-320, [1, 0.5, 0.5, 0.5], ""),  # the budget bisection stops splitting
         ("oracle-tsp", 1e308, [1, 1, 1], ""),      # every tour overflows to inf
         ("eval", 1e308, [1, 1, 1], "period overflows"),  # the period overflows to inf
         ("attack", 1e308, [1, 1, 1], "period overflows"),
@@ -430,18 +440,12 @@ class TestExtremeScales:
         # every candidate of the exhaustive oracles scores inf
         ("oracle-opt", 1e308, [1, 1, 1], "objective overflows"),
         ("oracle-cover --k 1", 1e308, [1, 1, 1], "tree cost overflows"),
-    ], ids=["plan-overflow", "plan-mst-overflow", "plan-underflow", "plan-subnormal",
+    ], ids=["plan-overflow", "plan-mst-overflow",
          "oracle-tsp-overflow", "eval-overflow", "attack-overflow",
          "eval-p2-overflow", "attack-utility-overflow",
          "oracle-opt-overflow", "oracle-cover-overflow"])
     def test_exits_1_with_one_line_error(self, tmp_path, command, dist, weights, message):
-        n = len(weights)
-        labels = [f"p{i}" for i in range(n)]
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps({
-            "labels": labels, "weights": weights,
-            "metric": {"type": "explicit", "dist": [
-                [0.0 if i == j else dist for j in range(n)] for i in range(n)]}}))
+        path, labels = write_equidistant(tmp_path, dist, weights)
         command, *flags = command.split()
         inputs = [str(path), *flags]
         if command in ("eval", "attack"):
@@ -451,3 +455,17 @@ class TestExtremeScales:
         proc = run_cli_process(command, *inputs, "--out", str(tmp_path / "report.json"))
         assert_one_line_error(proc)
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("dist, weights", [
+        (5e-324, [1, 1, 1]),           # the smallest subnormal: one cover at the MST cost
+        (1e-320, [1, 0.5, 0.5, 0.5]),  # a subnormal two-tree class cover
+    ], ids=["plan-underflow", "plan-subnormal"])
+    def test_plans_at_subnormal_scale(self, tmp_path, dist, weights):
+        path, _ = write_equidistant(tmp_path, dist, weights)
+        out = tmp_path / "report.json"
+        proc = run_cli_process("plan", str(path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        report = read_json(out)
+        assert all(report["invariants"].values()), report["invariants"]
+        lb, obj = report["result"]["lower_bound"], report["result"]["objective_inf"]
+        assert 0.0 < lb <= obj < math.inf

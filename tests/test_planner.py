@@ -94,14 +94,13 @@ class TestPlanInvariants:
                     assert point_class[x] >= tl.index
 
     def test_tree_budget_invariant_recomputed(self):
-        eps = 1e-6
         inst = random_instance(8, 25, weight_law="pareto")
-        res = plan(inst, eps=eps)
+        res = plan(inst)
         for c in res.classes:
             cover = res.covers[c.index]
             if c.theta == 2 ** c.index:  # saturated class
                 mst = minimum_spanning_tree(inst, list(c.members))
-                assert c.theta * cover.max_cost <= 4.0 * (1 + eps) * mst.cost + 1e-12
+                assert c.theta * cover.max_cost <= 4.0 * mst.cost
 
     def test_lists_hold_exactly_the_class_tours(self):
         inst = random_instance(9, 18, weight_law="pareto")
@@ -125,10 +124,6 @@ class TestPlanInvariants:
     def test_deterministic(self):
         inst = random_instance(11, 16, weight_law="pareto")
         assert plan(inst) == plan(inst)
-
-    def test_rejects_bad_eps(self, unit_triangle):
-        with pytest.raises(ValueError):
-            plan(unit_triangle, eps=0.0)
 
 
 @settings(max_examples=40, deadline=None)

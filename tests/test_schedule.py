@@ -161,7 +161,7 @@ def test_profile_kernel_matches_reference_bit_for_bit(case):
     inst, s = case
     _, _, period = _profiles(s.visits, inst)
     profiles, ref_period = reference_profiles(s.visits, inst.dist, inst.n)
-    assert period == ref_period
+    assert period == ref_period == period_length(s, inst)  # one summation
     assert [absence_profile(s, x, inst) for x in range(inst.n)] == profiles
     assert point_costs(s, inst, [2.0, 3.0, math.inf]) == [
         [_cost_of_gaps(g, p) for g in profiles] for p in (2.0, 3.0, math.inf)]

@@ -1,6 +1,8 @@
 """Tree decomposition, budget probing, and the min-max tree cover search."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from patrolsched import (decompose_tree, make_instance, minimum_spanning_tree,
                          minmax_tree_cover, partition_tree_cover_oracle,
                          try_budget)
+from patrolsched.treecover import _threshold
 from conftest import random_instance, random_metric_instance
 
 
@@ -143,22 +146,61 @@ def test_try_budget_cover_invariants(seed, n, k, frac):
         assert t.cost < 4.0 * budget
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 9999), k=st.integers(1, 4))
-def test_try_budget_feasibility_monotone_in_budget(seed, k):
-    inst = random_instance(seed, 8)
-    mst_cost = minimum_spanning_tree(inst).cost
-    budgets = np.linspace(mst_cost / 20, mst_cost * 1.1, 12)
-    feasible = [try_budget(inst, None, k, float(b)) is not None for b in budgets]
-    # once feasible, stays feasible
-    assert feasible == sorted(feasible)
+@st.composite
+def cover_cases(draw):
+    """(instance, subset, k): a random metric or a tie-heavy L1 grid, <= 9 points.
+
+    The grid's distances are integers scaled by 1, 0.1 or 1/3, so many are
+    tied and, scaled, their float sums are inexact.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 9))
+        inst = random_metric_instance(np.random.default_rng(draw(st.integers(0, 9999))), n)
+    else:
+        side = draw(st.integers(2, 5))
+        n = draw(st.integers(2, min(9, side * side)))
+        cells = draw(st.lists(st.integers(0, side * side - 1), min_size=n, max_size=n,
+                              unique=True))
+        xy = np.array([divmod(c, side) for c in cells], dtype=float)
+        dist = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+        dist *= draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+        inst = make_instance([f"p{i}" for i in range(n)], [1.0] * n, dist)
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return inst, sorted(subset), draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cover_cases())
+def test_cover_budget_is_a_critical_budget_at_most_the_optimum(case):
+    # feasible, its next smaller double is not, and so it is at most OPT
+    inst, subset, k = case
+    cover = minmax_tree_cover(inst, subset, k)
+    if len(subset) <= k:
+        assert cover.budget_used == 0.0 and cover.max_cost == 0.0
+        assert len(cover.trees) == len(subset)
+        return
+    budget = cover.budget_used
+    assert try_budget(inst, subset, k, budget) == cover
+    assert try_budget(inst, subset, k, math.nextafter(budget, 0.0)) is None
+    exact = partition_tree_cover_oracle(inst, subset, k)
+    assert budget <= math.nextafter(exact.value, math.inf)
+    assert len(cover.trees) <= k
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost=st.floats(5e-324, 1e308), m=st.integers(1, 40))
+def test_threshold_is_the_smallest_budget_with_at_most_m_pieces(cost, m):
+    b = _threshold(cost, m)
+    assert cost / (2.0 * b) < m
+    below = math.nextafter(b, 0.0)
+    assert below == 0.0 or not cost / (2.0 * below) < m
 
 
 class TestMinmaxTreeCover:
     def test_line_golden(self, line_four):
         cover = minmax_tree_cover(line_four, None, 2)
         assert cover.max_cost == 2.0
-        assert cover.budget_used == 1.0  # snapped to the critical edge length
+        assert cover.budget_used == 1.0  # the critical edge length
 
     def test_single_tree_is_the_mst(self, line_four):
         cover = minmax_tree_cover(line_four, None, 1)
@@ -200,10 +242,9 @@ def test_cover_within_four_times_exact_optimum(seed, m, k):
     rng = np.random.default_rng(seed)
     inst = random_metric_instance(rng, 9)
     subset = sorted(rng.choice(9, size=m, replace=False).tolist())
-    eps = 1e-6
-    cover = minmax_tree_cover(inst, subset, k, eps=eps)
+    cover = minmax_tree_cover(inst, subset, k)
     exact = partition_tree_cover_oracle(inst, subset, k)
-    assert cover.max_cost <= 4.0 * (1.0 + eps) * exact.value + 1e-12
+    assert cover.max_cost <= 4.0 * math.nextafter(exact.value, math.inf)
     covered = sorted({v for t in cover.trees for v in t.vertices})
     assert covered == subset
     assert len(cover.trees) <= k
