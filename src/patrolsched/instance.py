@@ -78,12 +78,13 @@ class MetricViolationError(ValueError):
         super().__init__(str(report))
 
 
-def validate_metric(dist: np.ndarray, tol: float = TRIANGLE_TOL) -> MetricReport:
+def validate_metric(dist: np.ndarray) -> MetricReport:
     """Check symmetry, zero diagonal, positive off-diagonal, and triangles.
 
-    The triangle inequality is checked for every ordered triple with relative
-    tolerance ``tol``: ``d[i,k] > (d[i,j] + d[j,k]) * (1 + tol)`` counts as a
-    violation.
+    The triangle inequality is checked for every ordered triple with the
+    relative tolerance ``TRIANGLE_TOL``: ``d[i,k] > (d[i,j] + d[j,k]) *
+    (1 + TRIANGLE_TOL)`` counts as a violation.  The lower bound's pruning
+    margin assumes this tolerance for every instance.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -118,9 +119,9 @@ def validate_metric(dist: np.ndarray, tol: float = TRIANGLE_TOL) -> MetricReport
                 add("offdiagonal", (int(i), int(j)),
                     f"zero or negative distance {float(d[i, j])!r} between distinct points {i} and {j}")
 
-        # d[i,k] <= (d[i,j] + d[j,k]) * (1 + tol) must hold for every j.
+        # d[i,k] <= (d[i,j] + d[j,k]) * (1 + TRIANGLE_TOL) must hold for every j.
         # A sum past the largest double is inf, which no distance exceeds.
-        limit = 1.0 + tol
+        limit = 1.0 + TRIANGLE_TOL
         with np.errstate(over="ignore"):
             for j in range(n):
                 lhs = d
@@ -174,8 +175,7 @@ class Instance:
 
 
 def make_instance(labels: Sequence[str], weights: Sequence[float],
-                  dist: np.ndarray, *, tol: float = TRIANGLE_TOL,
-                  validate: bool = True) -> Instance:
+                  dist: np.ndarray) -> Instance:
     """Build an Instance: normalize weights (max becomes 1) and validate."""
     labels = tuple(str(x) for x in labels)
     if not labels:
@@ -196,14 +196,13 @@ def make_instance(labels: Sequence[str], weights: Sequence[float],
     if d.shape != (len(labels), len(labels)):
         raise InstanceFormatError(
             f"expected a {len(labels)}x{len(labels)} distance matrix, got shape {d.shape}")
-    if validate:
-        report = validate_metric(d, tol)
-        if not report.ok:
-            raise MetricViolationError(report)
+    report = validate_metric(d)
+    if not report.ok:
+        raise MetricViolationError(report)
     return Instance(labels=labels, weights=w.copy(), dist=d.copy())
 
 
-def instance_from_document(doc: Any, *, tol: float = TRIANGLE_TOL) -> Instance:
+def instance_from_document(doc: Any) -> Instance:
     """Build an Instance from a parsed JSON document.
 
     Two metric encodings are accepted: ``{"type": "explicit", "dist": [[...]]}``
@@ -241,16 +240,16 @@ def instance_from_document(doc: Any, *, tol: float = TRIANGLE_TOL) -> Instance:
         dist = _euclidean_matrix(coords)
     else:
         raise InstanceFormatError(f"unknown metric type {kind!r}")
-    return make_instance(labels, weights, dist, tol=tol)
+    return make_instance(labels, weights, dist)
 
 
-def load_instance(text: str, *, tol: float = TRIANGLE_TOL) -> Instance:
+def load_instance(text: str) -> Instance:
     """Parse an instance JSON document from a string."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"invalid JSON: {e}") from None
-    return instance_from_document(doc, tol=tol)
+    return instance_from_document(doc)
 
 
 def serialize_instance(inst: Instance) -> str:

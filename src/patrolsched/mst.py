@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,11 +19,23 @@ class Tree:
     cost: float
 
 
+def _fold(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right from 0.0.
+
+    ``sum()`` of floats is compensated from Python 3.12 on, so costs are
+    summed here to get the same bits on every Python version.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _tree_from_edges(edges: list[tuple[int, int, float]]) -> Tree:
-    """The tree of (u, v, w) edges; its cost sums the w in the order given."""
+    """The tree of (u, v, w) edges; its cost folds the w in the order given."""
     verts = sorted({x for u, v, _ in edges for x in (u, v)})
     pairs = tuple(sorted((min(u, v), max(u, v)) for u, v, _ in edges))
-    return Tree(vertices=tuple(verts), edges=pairs, cost=float(sum(w for _, _, w in edges)))
+    return Tree(vertices=tuple(verts), edges=pairs, cost=_fold(w for _, _, w in edges))
 
 
 def _find(parent: list[int], x: int) -> int:

@@ -15,7 +15,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .instance import TRIANGLE_TOL, Instance
-from .mst import _normalize_subset, _spanning_forest, minimum_spanning_tree
+from .mst import _fold, _normalize_subset, _spanning_forest, minimum_spanning_tree
 from .schedule import Schedule, UNBOUNDED, _cost_of_gaps, _validate_p
 
 HELD_KARP_MAX = 16
@@ -314,7 +314,7 @@ def _grow_spanning_tree(
     us, vs, ws = _spanning_forest(dist, np.concatenate([old, new]),
                                   np.concatenate([tree[0], np.minimum(a, b)]),
                                   np.concatenate([tree[1], np.maximum(a, b)]))
-    return (us, vs), float(sum(ws.tolist()))
+    return (us, vs), _fold(ws.tolist())
 
 
 def _nearest_neighbour_tour(dist: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -336,10 +336,7 @@ def _tour_length(dist: np.ndarray, stops: np.ndarray) -> float:
     """Length of the closed tour through ``stops``, summed left to right from
     ``stops[0]``, the closing hop last: the order in which the Held-Karp
     table sums a tour started at ``stops[0]``."""
-    total = 0.0
-    for hop in dist[stops, np.concatenate((stops[1:], stops[:1]))].tolist():
-        total += hop
-    return total
+    return _fold(dist[stops, np.concatenate((stops[1:], stops[:1]))].tolist())
 
 
 @np.errstate(over="ignore")  # a tour too long for a double costs inf

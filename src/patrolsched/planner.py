@@ -67,29 +67,22 @@ def class_index(weight: float) -> int:
     return 1 - exp
 
 
-def round_weights(inst: Instance) -> tuple[Instance, tuple[WeightClass, ...]]:
+def round_weights(inst: Instance) -> tuple[WeightClass, ...]:
     """Round weights down to powers of two and group points into classes.
 
-    Returns a planning copy of the instance carrying the rounded weights
-    (objectives are always evaluated against the original instance) and the
-    non-empty classes in increasing index order, i.e. heaviest first.
+    Returns the non-empty classes in increasing index order, i.e. heaviest
+    first.  Objectives are always evaluated against the original weights.
     """
     groups: dict[int, list[int]] = {}
     for x, w in enumerate(inst.weights.tolist()):
         groups.setdefault(class_index(w), []).append(x)
-    classes = tuple(
+    return tuple(
         WeightClass(index=i,
                     rounded_weight=math.ldexp(1.0, -i),
                     members=tuple(members),
                     theta=min(len(members), 1 << i))
         for i, members in sorted(groups.items())
     )
-    rounded = inst.weights.copy()
-    for cls in classes:
-        for x in cls.members:
-            rounded[x] = cls.rounded_weight
-    planning_inst = Instance(labels=inst.labels, weights=rounded, dist=inst.dist)
-    return planning_inst, classes
 
 
 def build_class_tours(inst: Instance, classes: tuple[WeightClass, ...]
@@ -132,25 +125,25 @@ def build_lists(tours: list[Schedule]) -> tuple[TourList, ...]:
     return tuple(lists)
 
 
-def emit_schedule(lists: tuple[TourList, ...]) -> Schedule:
+def emit_schedule(lists: tuple[TourList, ...]) -> tuple[Schedule, int]:
     """Concatenate lcm(lambda_i) phases; phase j runs tour j % lambda_i of
-    every list, heaviest list first."""
+    every list, heaviest list first.  Returns the schedule and its phase
+    count."""
     phases = math.lcm(*(tl.lam for tl in lists))
     visits: list[int] = []
     for j in range(phases):
         for tl in lists:
             visits.extend(tl.tours[j % tl.lam].visits)
-    return Schedule(tuple(visits))
+    return Schedule(tuple(visits)), phases
 
 
 def plan(inst: Instance) -> PlanResult:
     """Full pipeline; diagnostics carry objectives, the certified lower
     bound, and the per-run invariant checks."""
-    planning_inst, classes = round_weights(inst)
-    tours, covers = build_class_tours(planning_inst, classes)
+    classes = round_weights(inst)
+    tours, covers = build_class_tours(inst, classes)
     lists = build_lists(tours)
-    schedule = emit_schedule(lists)
-    phases = math.lcm(*(tl.lam for tl in lists))
+    schedule, phases = emit_schedule(lists)
     J = len(tours)
     I = len(lists) - 1
 
@@ -166,13 +159,15 @@ def plan(inst: Instance) -> PlanResult:
         ratio: float | None = obj_inf / lb
     else:
         ratio = 0.0 if obj_inf == 0.0 else None
+    limit = 18.0 * (I + 1)
 
     diagnostics: dict[str, Any] = {
         "objective_inf": obj_inf,
         "objective_2": obj_2,
         "lower_bound": lb,
         "envelope_ratio": ratio,
-        "envelope_limit": 18.0 * (I + 1),
+        "envelope_limit": limit,
+        "envelope_ok": obj_inf <= limit * lb or (obj_inf == 0.0 and lb == 0.0),
         "all_points_visited": set().union(*(set(t.visits) for t in tours)) == set(range(inst.n)),
         "list_weight_ok": _check_list_weights(lists, classes),
         "tree_budget_ok": _check_tree_budgets(classes, covers),

@@ -9,7 +9,9 @@ pieces weighing in [2B, 4B).  If the pieces fit into k trees the budget is
 feasible.  In Kruskal order the minimum spanning forest of the edges <= B
 is the subset MST's prefix of edges <= B, so one Kruskal builds the MST
 once per cover and every budget probe labels the components of its prefix
-of edges <= B with a union-find.
+of edges <= B with a union-find.  A probe counts pieces from the
+components' costs alone; only the cover finally returned groups the
+components' vertices and edges.
 
 Feasibility is not monotone in the budget: on a line at 5, 8, 10, 16, 24,
 31, 38 with k = 2, B = 22/3 is feasible and B = 8 is not, because merging
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instance import Instance
-from .mst import (Tree, _adjacency, _find, _normalize_subset, _spanning_forest,
+from .mst import (Tree, _adjacency, _find, _fold, _normalize_subset, _spanning_forest,
                   _tree_from_edges)
 
 
@@ -75,73 +77,69 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
 
     adj = _adjacency(tree)
     root = min(tree.vertices)
+    # Preorder taking children in descending order; reversed, it is the
+    # postorder taking them in ascending order, every child before its parent.
+    parent = {root: -1}
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for c in adj[v]:
+            if c != parent[v]:
+                parent[c] = v
+                stack.append(c)
 
+    # Each vertex's bundle holds the leftover edges (cost < 2B) of its
+    # finished children.  A vertex adds its parent edge to its bundle, then
+    # emits it alone if it already weighs >= 2B, else folds it into the
+    # parent's bundle, emitting that when it reaches 2B.
+    bundle: dict[int, list[tuple[int, int, float]]] = {v: [] for v in order}
+    cost = dict.fromkeys(order, 0.0)
     pieces: list[list[tuple[int, int, float]]] = []
-
-    # Iterative version of: for each child c of v, take the child's leftover
-    # bundle, add edge (v, c); emit it alone if it already weighs >= 2B, else
-    # fold it into v's bundle, emitting that when it reaches 2B.
-    # Frame: [vertex, parent, child iterator, bundle edges, bundle cost, pending child]
-    frames: list[list] = [[root, -1, iter(adj[root]), [], 0.0, -1]]
-    ret: tuple[list[tuple[int, int, float]], float] | None = None
-    while frames:
-        fr = frames[-1]
-        if ret is not None:
-            sub_edges, sub_cost = ret
-            ret = None
-            c = fr[5]
-            w = float(dist[fr[0], c])
-            sub_edges.append((fr[0], c, w))
-            sub_cost += w
-            if sub_cost >= target:
-                pieces.append(sub_edges)  # in [2B, 3B)
-            else:
-                fr[3].extend(sub_edges)
-                fr[4] += sub_cost
-                if fr[4] >= target:
-                    pieces.append(fr[3])  # in [2B, 4B)
-                    fr[3], fr[4] = [], 0.0
-        descended = False
-        for c in fr[2]:
-            if c != fr[1]:
-                fr[5] = c
-                frames.append([c, fr[0], iter(adj[c]), [], 0.0, -1])
-                descended = True
-                break
-        if not descended:
-            ret = (fr[3], fr[4])
-            frames.pop()
-
-    assert ret is not None
-    leftover_edges, _ = ret
-    if leftover_edges:
-        pieces.append(leftover_edges)  # < 2B
+    for c in reversed(order[1:]):
+        v = parent[c]
+        w = float(dist[v, c])
+        bundle[c].append((v, c, w))
+        cost[c] += w
+        if cost[c] >= target:
+            pieces.append(bundle[c])  # in [2B, 3B)
+        else:
+            bundle[v].extend(bundle[c])
+            cost[v] += cost[c]
+            if cost[v] >= target:
+                pieces.append(bundle[v])  # in [2B, 4B)
+                bundle[v], cost[v] = [], 0.0
+    if bundle[root]:
+        pieces.append(bundle[root])  # < 2B
     return [_tree_from_edges(e) for e in pieces]
 
 
-def _forest_at_budget(
-    mst: tuple[np.ndarray, ...], budget: float, verts: Sequence[int],
-) -> list[tuple[tuple[int, ...], list[tuple[int, int, float]], float]]:
-    """Per-component (vertices, MST edges, MST cost) after dropping edges > budget.
+def _roots(mst: tuple[np.ndarray, ...], verts: Sequence[int],
+           budget: float) -> tuple[list[int], list[int]]:
+    """The forest at ``budget``: the component root of every position in
+    ``verts``, and the position of the first end of each of its edges.
 
     ``mst`` holds the MST of the ascending ``verts`` in Kruskal order; the
-    forest is its prefix of edges <= budget.  Components come in order of
-    their lowest vertex, their edges in Kruskal order.
+    forest is its prefix of edges <= budget, labelled with a union-find.
     """
     us, vs, ws = mst
     cut = int(np.searchsorted(ws, budget, side="right"))
-    edges = list(zip(us[:cut].tolist(), vs[:cut].tolist(), ws[:cut].tolist()))
     heads = np.searchsorted(verts, us[:cut]).tolist()
     parent = list(range(len(verts)))
     for a, b in zip(heads, np.searchsorted(verts, vs[:cut]).tolist()):
         parent[_find(parent, b)] = _find(parent, a)
-    roots = [_find(parent, i) for i in range(len(verts))]
-    comps: dict[int, tuple[list[int], list[tuple[int, int, float]]]] = {}
-    for v, root in zip(verts, roots):
-        comps.setdefault(root, ([], []))[0].append(v)
-    for a, edge in zip(heads, edges):
-        comps[roots[a]][1].append(edge)
-    return [(tuple(cv), ce, float(sum(w for _, _, w in ce))) for cv, ce in comps.values()]
+    return [_find(parent, i) for i in range(len(verts))], heads
+
+
+def _costs(mst: tuple[np.ndarray, ...], verts: Sequence[int], budget: float) -> list[float]:
+    """The MST cost of every component of the forest at ``budget``, its
+    edges added left to right in Kruskal order."""
+    roots, heads = _roots(mst, verts, budget)
+    costs = dict.fromkeys(roots, 0.0)
+    for a, w in zip(heads, mst[2][:len(heads)].tolist()):
+        costs[roots[a]] += w
+    return list(costs.values())
 
 
 def _pieces(cost: float, budget: float) -> int:
@@ -152,25 +150,30 @@ def _pieces(cost: float, budget: float) -> int:
 def _fits(mst: tuple[np.ndarray, ...], verts: Sequence[int], k: int,
           budget: float) -> bool:
     """Whether the forest at ``budget`` splits into at most k pieces."""
-    needed = 0
-    for _, _, cost in _forest_at_budget(mst, budget, verts):
-        needed += _pieces(cost, budget)
-        if needed > k:
-            return False
-    return True
+    return sum(_pieces(cost, budget) for cost in _costs(mst, verts, budget)) <= k
 
 
 def _cover_at(
     inst: Instance, mst: tuple[np.ndarray, ...], mst_cost: float,
     verts: Sequence[int], k: int, budget: float,
 ) -> TreeCover:
-    """The pieces of every component of the forest at ``budget``."""
+    """The pieces of every component of the forest at ``budget``.
+
+    Components come in order of their lowest vertex, each one's edges in
+    Kruskal order; a component without edges is a single point.
+    """
+    roots, heads = _roots(mst, verts, budget)
+    us, vs, ws = (x[:len(heads)].tolist() for x in mst)
+    # roots runs over ascending positions: keys come in order of lowest vertex
+    edges: dict[int, list[tuple[int, int, float]]] = {root: [] for root in roots}
+    for a, edge in zip(heads, zip(us, vs, ws)):
+        edges[roots[a]].append(edge)
     trees: list[Tree] = []
-    for comp_vs, edges, _ in _forest_at_budget(mst, budget, verts):
-        if not edges:
-            trees.append(Tree(vertices=comp_vs, edges=(), cost=0.0))
+    for root, comp in edges.items():
+        if comp:
+            trees.extend(decompose_tree(inst, _tree_from_edges(comp), budget))
         else:
-            trees.extend(decompose_tree(inst, _tree_from_edges(edges), budget))
+            trees.append(Tree(vertices=(verts[root],), edges=(), cost=0.0))
     return TreeCover(trees=tuple(trees), budget_used=float(budget), k=k, mst_cost=mst_cost)
 
 
@@ -188,13 +191,10 @@ def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: flo
     if budget <= 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
     verts = _normalize_subset(inst, subset)
-    if len(verts) == 1:
-        return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=float(budget), k=k,
-                         mst_cost=0.0)
     mst = _spanning_forest(inst.dist, verts)
     if not _fits(mst, verts, k, budget):
         return None
-    return _cover_at(inst, mst, float(sum(mst[2].tolist())), verts, k, budget)
+    return _cover_at(inst, mst, _fold(mst[2].tolist()), verts, k, budget)
 
 
 def _threshold(cost: float, m: int) -> float:
@@ -244,7 +244,7 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int) -> T
         raise ValueError(f"k must be at least 1, got {k}")
     verts = _normalize_subset(inst, subset)
     mst = _spanning_forest(inst.dist, verts)
-    mst_cost = float(sum(mst[2].tolist()))
+    mst_cost = _fold(mst[2].tolist())
     if len(verts) <= k:
         return TreeCover(trees=tuple(Tree((v,), (), 0.0) for v in verts),
                          budget_used=0.0, k=k, mst_cost=mst_cost)
@@ -261,10 +261,10 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int) -> T
     if mst_cost > weights[-1]:
         weights.append(mst_cost)
     lo, hi = _critical_pair(weights, fits)
-    forest = _forest_at_budget(mst, lo, verts)
-    spare = k - len(forest) + 1  # the most pieces any one component may take
+    costs = _costs(mst, verts, lo)
+    spare = k - len(costs) + 1  # the most pieces any one component may take
     # _threshold(cost, m) is in (lo, hi] iff cost takes > m pieces at lo, <= m at hi
-    thresholds = {_threshold(cost, m) for _, _, cost in forest
+    thresholds = {_threshold(cost, m) for cost in costs
                   for m in range(_pieces(cost, hi), min(spare, _pieces(cost, lo) - 1) + 1)}
     _, budget = _critical_pair([lo, *sorted(thresholds - {hi}), hi], fits)
     return _cover_at(inst, mst, mst_cost, verts, k, budget)

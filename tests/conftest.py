@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from patrolsched import (Instance, RandomSpec, Schedule, generate_random,
-                         make_instance, minimum_spanning_tree)
+from patrolsched import (Instance, RandomSpec, Schedule, Tree, TreeCover,
+                         generate_random, make_instance, minimum_spanning_tree)
+from patrolsched.mst import (_adjacency, _find, _normalize_subset, _spanning_forest,
+                             _tree_from_edges)
 from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _grow_spanning_tree,
                                 _held_karp_table)
+from patrolsched.treecover import _critical_pair, _pieces, _threshold
 
 # Per-criterion verdict lines recorded by the acceptance suite; echoed in the
 # terminal summary so they survive output capture in plain ``pytest`` runs.
@@ -270,3 +273,131 @@ def reference_best_attack(gaps: list[float], period: float, weight: float) -> tu
             best_u = u
             best_t = t
     return best_t, best_u
+
+
+def left_fold(values) -> float:
+    """``values`` added left to right from 0.0 (``sum()`` of floats is
+    compensated from Python 3.12 on)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def reference_decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
+    """Test-only reference for ``decompose_tree``: the recursive bottom-up
+    decomposition as an explicit stack of frames, one per vertex on the path
+    from the lowest-index root, children taken in ascending order."""
+    dist = inst.dist
+    target = 2.0 * budget
+    if tree.cost < target:
+        return [tree]
+    adj = _adjacency(tree)
+    root = min(tree.vertices)
+    pieces: list[list[tuple[int, int, float]]] = []
+    # Frame: [vertex, parent, child iterator, bundle edges, bundle cost, pending child]
+    frames: list[list] = [[root, -1, iter(adj[root]), [], 0.0, -1]]
+    ret = None
+    while frames:
+        fr = frames[-1]
+        if ret is not None:
+            sub_edges, sub_cost = ret
+            ret = None
+            c = fr[5]
+            w = float(dist[fr[0], c])
+            sub_edges.append((fr[0], c, w))
+            sub_cost += w
+            if sub_cost >= target:
+                pieces.append(sub_edges)
+            else:
+                fr[3].extend(sub_edges)
+                fr[4] += sub_cost
+                if fr[4] >= target:
+                    pieces.append(fr[3])
+                    fr[3], fr[4] = [], 0.0
+        descended = False
+        for c in fr[2]:
+            if c != fr[1]:
+                fr[5] = c
+                frames.append([c, fr[0], iter(adj[c]), [], 0.0, -1])
+                descended = True
+                break
+        if not descended:
+            ret = (fr[3], fr[4])
+            frames.pop()
+    leftover_edges, _ = ret
+    if leftover_edges:
+        pieces.append(leftover_edges)
+    return [_tree_from_edges(e) for e in pieces]
+
+
+def reference_forest_at_budget(mst, budget: float, verts):
+    """Per-component (vertices, MST edges, MST cost) of the MST prefix of
+    edges <= budget, in order of the lowest vertex, edges in Kruskal order."""
+    us, vs, ws = mst
+    cut = int(np.searchsorted(ws, budget, side="right"))
+    edges = list(zip(us[:cut].tolist(), vs[:cut].tolist(), ws[:cut].tolist()))
+    heads = np.searchsorted(verts, us[:cut]).tolist()
+    parent = list(range(len(verts)))
+    for a, b in zip(heads, np.searchsorted(verts, vs[:cut]).tolist()):
+        parent[_find(parent, b)] = _find(parent, a)
+    roots = [_find(parent, i) for i in range(len(verts))]
+    comps: dict[int, tuple[list[int], list]] = {}
+    for v, root in zip(verts, roots):
+        comps.setdefault(root, ([], []))[0].append(v)
+    for a, edge in zip(heads, edges):
+        comps[roots[a]][1].append(edge)
+    return [(tuple(cv), ce, left_fold(w for _, _, w in ce)) for cv, ce in comps.values()]
+
+
+def _reference_probe(inst: Instance, mst, verts, k: int, budget: float) -> TreeCover | None:
+    """The cover at ``budget`` built from every component's vertices, edges
+    and cost, or None when its pieces number more than k."""
+    forest = reference_forest_at_budget(mst, budget, verts)
+    if sum(_pieces(cost, budget) for _, _, cost in forest) > k:
+        return None
+    trees: list[Tree] = []
+    for comp_vs, edges, _ in forest:
+        if edges:
+            trees.extend(reference_decompose_tree(inst, _tree_from_edges(edges), budget))
+        else:
+            trees.append(Tree(vertices=comp_vs, edges=(), cost=0.0))
+    return TreeCover(trees=tuple(trees), budget_used=float(budget), k=k,
+                     mst_cost=left_fold(mst[2].tolist()))
+
+
+def reference_try_budget(inst: Instance, subset, k: int, budget: float) -> TreeCover | None:
+    """Test-only reference for ``try_budget``: the per-component probe, with
+    a single point covered by its own branch."""
+    verts = _normalize_subset(inst, subset)
+    if len(verts) == 1:
+        return TreeCover(trees=(Tree(verts, (), 0.0),), budget_used=float(budget), k=k,
+                         mst_cost=0.0)
+    return _reference_probe(inst, _spanning_forest(inst.dist, verts), verts, k, budget)
+
+
+def reference_minmax_tree_cover(inst: Instance, subset, k: int) -> TreeCover:
+    """Test-only reference for ``minmax_tree_cover``: the same critical-budget
+    search, every probe built on ``reference_forest_at_budget``."""
+    verts = _normalize_subset(inst, subset)
+    mst = _spanning_forest(inst.dist, verts)
+    mst_cost = left_fold(mst[2].tolist())
+    if len(verts) <= k:
+        return TreeCover(trees=tuple(Tree((v,), (), 0.0) for v in verts),
+                         budget_used=0.0, k=k, mst_cost=mst_cost)
+
+    def fits(budget: float) -> bool:
+        return _reference_probe(inst, mst, verts, k, budget) is not None
+
+    weights = sorted(set(mst[2].tolist()))
+    if fits(weights[0]):
+        return _reference_probe(inst, mst, verts, k, weights[0])
+    if mst_cost > weights[-1]:
+        weights.append(mst_cost)
+    lo, hi = _critical_pair(weights, fits)
+    forest = reference_forest_at_budget(mst, lo, verts)
+    spare = k - len(forest) + 1
+    thresholds = {_threshold(cost, m) for _, _, cost in forest
+                  for m in range(_pieces(cost, hi), min(spare, _pieces(cost, lo) - 1) + 1)}
+    _, budget = _critical_pair([lo, *sorted(thresholds - {hi}), hi], fits)
+    return _reference_probe(inst, mst, verts, k, budget)

@@ -12,7 +12,8 @@ from patrolsched import (decompose_tree, make_instance, minimum_spanning_tree,
                          minmax_tree_cover, partition_tree_cover_oracle,
                          try_budget)
 from patrolsched.treecover import _threshold
-from conftest import random_instance, random_metric_instance
+from conftest import (random_instance, random_metric_instance, reference_decompose_tree,
+                      reference_minmax_tree_cover, reference_try_budget)
 
 
 def assert_connected(tree):
@@ -147,8 +148,8 @@ def test_try_budget_cover_invariants(seed, n, k, frac):
 
 
 @st.composite
-def cover_cases(draw):
-    """(instance, subset, k): a random metric or a tie-heavy L1 grid, <= 9 points.
+def cover_cases(draw, max_k: int = 4):
+    """(instance, subset, k <= max_k): a random metric or a tie-heavy L1 grid, <= 9 points.
 
     The grid's distances are integers scaled by 1, 0.1 or 1/3, so many are
     tied and, scaled, their float sums are inexact.
@@ -166,7 +167,7 @@ def cover_cases(draw):
         dist *= draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
         inst = make_instance([f"p{i}" for i in range(n)], [1.0] * n, dist)
     subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    return inst, sorted(subset), draw(st.integers(1, 4))
+    return inst, sorted(subset), draw(st.integers(1, max_k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -185,6 +186,35 @@ def test_cover_budget_is_a_critical_budget_at_most_the_optimum(case):
     exact = partition_tree_cover_oracle(inst, subset, k)
     assert budget <= math.nextafter(exact.value, math.inf)
     assert len(cover.trees) <= k
+
+
+def tree_bits(trees):
+    return [(t.vertices, t.edges, t.cost.hex()) for t in trees]
+
+
+def cover_bits(cover):
+    if cover is None:
+        return None
+    return tree_bits(cover.trees), cover.budget_used.hex(), cover.k, cover.mst_cost.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cover_cases(max_k=9))
+def test_tree_layer_matches_the_per_component_references_bit_for_bit(case):
+    # pieces in order, their edges and the bits of every cost
+    inst, subset, k = case
+    assert (cover_bits(minmax_tree_cover(inst, subset, k))
+            == cover_bits(reference_minmax_tree_cover(inst, subset, k)))
+    mst = minimum_spanning_tree(inst, subset)
+    weights = sorted({float(inst.dist[u, v]) for u, v in mst.edges}) or [1.0]
+    for factor in (1.0, 1.3, 2.0, 5.0):
+        budget = weights[-1] * factor
+        assert (tree_bits(decompose_tree(inst, mst, budget))
+                == tree_bits(reference_decompose_tree(inst, mst, budget)))
+    # every forest the MST passes through, then the budgets above
+    for budget in [*weights[:-1], *(weights[-1] * f for f in (1.0, 1.3, 2.0, 5.0))]:
+        assert (cover_bits(try_budget(inst, subset, k, budget))
+                == cover_bits(reference_try_budget(inst, subset, k, budget)))
 
 
 @settings(max_examples=300, deadline=None)
