@@ -16,12 +16,13 @@ from pathlib import Path
 from patrolsched import (GEOMETRIES, WEIGHT_LAWS, RandomSpec, generate_random,
                          serialize_instance)
 
+MIN_N = 4  # points in the first, smallest instance
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", help="directory to fill with instance documents")
     parser.add_argument("--count", type=int, default=20)
-    parser.add_argument("--min-n", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=40)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -30,7 +31,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     span = max(args.count - 1, 1)
     for i in range(args.count):
-        n = args.min_n + round((args.max_n - args.min_n) * i / span)
+        n = MIN_N + round((args.max_n - MIN_N) * i / span)
         law = WEIGHT_LAWS[i % len(WEIGHT_LAWS)]
         geometry = GEOMETRIES[i % len(GEOMETRIES)]
         inst = generate_random(RandomSpec(n=n, weight_law=law,

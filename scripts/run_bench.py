@@ -16,13 +16,13 @@ from pathlib import Path
 
 from patrolsched.cli import main as cli_main
 
+TOP = 5  # worst-ratio rows printed
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("corpus", help="directory of instance *.json documents")
     parser.add_argument("--out", default="bench", help="report prefix")
-    parser.add_argument("--top", type=int, default=5,
-                        help="how many worst-ratio rows to print")
     args = parser.parse_args()
 
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -34,9 +34,9 @@ def main() -> int:
     rows = [r for r in report["result"]["rows"] if r["status"] == "ok"
             and r["envelope_ratio"] is not None]
     rows.sort(key=lambda r: r["envelope_ratio"], reverse=True)
-    print(f"\nworst {min(args.top, len(rows))} envelope ratios "
+    print(f"\nworst {min(TOP, len(rows))} envelope ratios "
           f"(guarantee is 18*(I+1)):")
-    for r in rows[:args.top]:
+    for r in rows[:TOP]:
         print(f"  {r['file']:40s} n={r['n']:<4d} ratio={r['envelope_ratio']:8.3f} "
               f"limit={r['envelope_limit']:6.1f}")
     return 0

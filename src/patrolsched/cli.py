@@ -24,8 +24,11 @@ summary, and maps errors to exit codes with a one-line ``error:`` message.
 Reports are deterministic for fixed inputs, flags, and seeds: keys are
 sorted, the SHA-256 of the instance file's bytes is embedded, and wall-clock
 measurements live under a separate top-level ``"timings"`` key so
-out-of-band variation never touches result fields.  Infinite values
-serialize as the string ``"unbounded"``.
+out-of-band variation never touches result fields.  A point the schedule
+never visits costs ``"unbounded"``; only ``eval``'s ``objective`` and
+``point_costs`` and ``attack``'s ``duration`` and ``utility`` (``best`` and
+``per_target``) hold that string.  Any other non-finite value fails the
+command with an ``error:`` line, and no report is written.
 """
 from __future__ import annotations
 
@@ -40,52 +43,44 @@ import time
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .instance import (GEOMETRIES, WEIGHT_LAWS, Instance, MetricViolationError,
                        RandomSpec, generate_random, load_instance,
                        serialize_instance)
 from .mst import Tree
 from .oracle import (BRUTE_FORCE_MAX_POINTS, BRUTE_FORCE_MAX_PERIOD,
-                     HELD_KARP_MAX, brute_force_weighted_opt, held_karp_tsp,
-                     partition_tree_cover_oracle)
+                     HELD_KARP_MAX, OracleResult, brute_force_weighted_opt,
+                     held_karp_tsp, partition_tree_cover_oracle)
 from .planner import plan
 from .schedule import (period_length, point_costs, schedule_from_document,
                        schedule_to_document, weighted_objective, worst_weighted)
-from .security import (mix_tours, per_target_best, strategy_from_document,
-                       strongest_attack)
+from .security import (AttackOutcome, mix_tours, per_target_best,
+                       strategy_from_document, strongest_attack)
 from .treecover import minmax_tree_cover
 
 # What a command returns to the runner: report fields, summary, exit code.
 Outcome = tuple[dict[str, Any], str, int]
+
+# The plan diagnostics that `plan` reports and `bench` tabulates.
+_PLAN_FIELDS = ("objective_inf", "objective_2", "lower_bound", "envelope_ratio",
+                "envelope_limit")
 
 
 # ---------------------------------------------------------------------------
 # report plumbing
 
 
-def _encode(obj: Any) -> Any:
-    """Recursively convert a report to JSON-safe values (inf -> "unbounded")."""
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        obj = float(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            raise ValueError("refusing to serialize NaN in a report")
-        if math.isinf(obj):
-            return "unbounded"
-    return obj
-
-
 def _write_json(doc: Any, path: str) -> None:
-    """Write a report or schedule document: sorted keys, inf as "unbounded"."""
-    text = json.dumps(_encode(doc), indent=2, sort_keys=True, allow_nan=False)
+    """Write a report or schedule document with sorted keys.
+
+    A NaN or infinite float raises ValueError before the file is opened.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n")
+
+
+def _unbounded(x: float) -> float | str:
+    """An eval cost or attack outcome; inf (a point never visited) as "unbounded"."""
+    return "unbounded" if math.isinf(x) else x
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -157,6 +152,16 @@ def _subset_doc(inst: Instance, subset: list[int] | None) -> list[str] | None:
     return None if subset is None else [inst.labels[x] for x in subset]
 
 
+def _oracle_doc(res: OracleResult, witness: Any) -> dict[str, Any]:
+    return {"value": res.value, "witness": witness, "search_bound": res.search_bound}
+
+
+def _attack_doc(outcome: AttackOutcome, inst: Instance) -> dict[str, Any]:
+    return {"target": inst.labels[outcome.target],
+            "duration": _unbounded(outcome.duration),
+            "utility": _unbounded(outcome.utility)}
+
+
 def _tree_doc(tree: Tree, inst: Instance) -> dict[str, Any]:
     return {
         "vertices": [inst.labels[v] for v in tree.vertices],
@@ -224,20 +229,16 @@ def _cmd_plan(args: argparse.Namespace) -> Outcome:
         "I": res.I,
         "J": res.J,
         "phases": res.phases,
-        "objective_inf": diag["objective_inf"],
-        "objective_2": diag["objective_2"],
-        "lower_bound": diag["lower_bound"],
-        "envelope_ratio": diag["envelope_ratio"],
-        "envelope_limit": diag["envelope_limit"],
+        **{key: diag[key] for key in _PLAN_FIELDS},
     }
-    obj, lb = diag["objective_inf"], diag["lower_bound"]
     invariants = {key: diag[key] for key in
                   ("all_points_visited", "list_weight_ok", "tree_budget_ok", "envelope_ok")}
     if args.schedule_out:
         _write_json(result["schedule"], args.schedule_out)
     flags = " ".join(f"{k}={'pass' if v else 'FAIL'}" for k, v in sorted(invariants.items()))
     summary = (f"plan: {len(res.schedule)} visits over {res.phases} phases, "
-               f"objective_inf={_fmt(obj)}, lower_bound={_fmt(lb)}, "
+               f"objective_inf={_fmt(diag['objective_inf'])}, "
+               f"lower_bound={_fmt(diag['lower_bound'])}, "
                f"limit={_fmt(diag['envelope_limit'])}\n"
                f"invariants: {flags}")
     return {"instance": ref, "parameters": {}, "result": result,
@@ -248,14 +249,18 @@ def _cmd_eval(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     sched = schedule_from_document(_read_json(args.schedule), inst)
     ps = [_parse_p(t) for t in (args.p or ["2", "inf"])]
-    per_p = {_p_key(p): {"objective": worst_weighted(costs, inst),
-                         "point_costs": dict(zip(inst.labels, costs))}
-             for p, costs in zip(ps, point_costs(sched, inst, ps))}
+    keys = [_p_key(p) for p in ps]
+    costs = dict(zip(keys, point_costs(sched, inst, ps)))
+    objectives = {key: worst_weighted(c, inst) for key, c in costs.items()}
+    per_p = {key: {"objective": _unbounded(objectives[key]),
+                   "point_costs": {label: _unbounded(c)
+                                   for label, c in zip(inst.labels, costs[key])}}
+             for key in costs}
     period = period_length(sched, inst)
-    summary = ", ".join(f"p={k}: {_fmt(v['objective'])}" for k, v in per_p.items())
+    summary = ", ".join(f"p={key}: {_fmt(v)}" for key, v in objectives.items())
     return {
         "instance": ref,
-        "parameters": {"schedule": str(args.schedule), "p": [_p_key(p) for p in ps]},
+        "parameters": {"schedule": str(args.schedule), "p": keys},
         "result": {"visits": len(sched), "period": period, "per_p": per_p},
     }, f"eval: {len(sched)} visits, period {_fmt(period)}; {summary}", 0
 
@@ -267,11 +272,7 @@ def _cmd_oracle_tsp(args: argparse.Namespace) -> Outcome:
     return {
         "instance": ref,
         "parameters": {"subset": _subset_doc(inst, subset)},
-        "result": {
-            "value": res.value,
-            "witness": schedule_to_document(res.witness, inst),
-            "search_bound": res.search_bound,
-        },
+        "result": _oracle_doc(res, schedule_to_document(res.witness, inst)),
     }, f"oracle-tsp: value {_fmt(res.value)} over {res.search_bound['points']} points", 0
 
 
@@ -283,11 +284,7 @@ def _cmd_oracle_opt(args: argparse.Namespace) -> Outcome:
     return {
         "instance": ref,
         "parameters": {"p": _p_key(p), "max_period": max_period},
-        "result": {
-            "value": res.value,
-            "witness": schedule_to_document(res.witness, inst),
-            "search_bound": res.search_bound,
-        },
+        "result": _oracle_doc(res, schedule_to_document(res.witness, inst)),
     }, (f"oracle-opt: best weighted objective {_fmt(res.value)} "
         f"at p={_p_key(p)}, periods up to {max_period} visits "
         f"(upper bound on the unrestricted optimum)"), 0
@@ -300,11 +297,8 @@ def _cmd_oracle_cover(args: argparse.Namespace) -> Outcome:
     return {
         "instance": ref,
         "parameters": {"subset": _subset_doc(inst, subset), "k": args.k},
-        "result": {
-            "value": res.value,
-            "witness": [[inst.labels[x] for x in block] for block in res.witness],
-            "search_bound": res.search_bound,
-        },
+        "result": _oracle_doc(res, [[inst.labels[x] for x in block]
+                                    for block in res.witness]),
     }, (f"oracle-cover: exact min-max block cost {_fmt(res.value)} "
         f"with {len(res.witness)} blocks (k={args.k})"), 0
 
@@ -334,14 +328,8 @@ def _cmd_attack(args: argparse.Namespace) -> Outcome:
     return {
         "instance": ref,
         "parameters": {"schedule": str(args.schedule)},
-        "result": {
-            "best": {"target": inst.labels[best.target],
-                     "duration": best.duration,
-                     "utility": best.utility},
-            "per_target": [{"target": inst.labels[o.target],
-                            "duration": o.duration,
-                            "utility": o.utility} for o in outcomes],
-        },
+        "result": {"best": _attack_doc(best, inst),
+                   "per_target": [_attack_doc(o, inst) for o in outcomes]},
     }, (f"attack: best target {inst.labels[best.target]}, "
         f"duration {_fmt(best.duration)}, utility {_fmt(best.utility)}"), 0
 
@@ -369,18 +357,16 @@ def _cmd_mix(args: argparse.Namespace) -> Outcome:
 
 _BENCH_COLUMNS = [
     "file", "status", "error", "sha256", "n", "I", "phases", "visits",
-    "objective_inf", "objective_2", "lower_bound", "envelope_ratio",
-    "envelope_limit", "envelope_ok", "oracle_p", "oracle_value",
-    "alg_over_oracle",
+    *_PLAN_FIELDS, "envelope_ok", "oracle_p", "oracle_value", "alg_over_oracle",
 ]
 
 
 def _bench_row(path: Path) -> dict[str, Any]:
     row: dict[str, Any] = {c: None for c in _BENCH_COLUMNS}
     row["file"] = path.name
-    data, ref = _read_instance_file(path)
-    row["sha256"] = ref["sha256"]
     try:
+        data, ref = _read_instance_file(path)
+        row["sha256"] = ref["sha256"]
         inst = load_instance(data.decode())
         res = plan(inst)
         diag = res.diagnostics
@@ -390,12 +376,7 @@ def _bench_row(path: Path) -> dict[str, Any]:
             "I": res.I,
             "phases": res.phases,
             "visits": len(res.schedule),
-            "objective_inf": diag["objective_inf"],
-            "objective_2": diag["objective_2"],
-            "lower_bound": diag["lower_bound"],
-            "envelope_ratio": diag["envelope_ratio"],
-            "envelope_limit": diag["envelope_limit"],
-            "envelope_ok": diag["envelope_ok"],
+            **{key: diag[key] for key in (*_PLAN_FIELDS, "envelope_ok")},
         })
         if inst.n <= BRUTE_FORCE_MAX_POINTS:
             max_period = min(inst.n + 2, BRUTE_FORCE_MAX_PERIOD)
@@ -404,7 +385,7 @@ def _bench_row(path: Path) -> dict[str, Any]:
             row["oracle_value"] = oracle.value
             if oracle.value > 0.0:
                 row["alg_over_oracle"] = diag["objective_inf"] / oracle.value
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         row["status"] = "failed"
         row["error"] = str(exc)
     return row
@@ -431,9 +412,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
         with open(f"{args.out}.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS)
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: ("" if v is None else _encode(v))
-                                 for k, v in row.items()})
+            writer.writerows(rows)
 
     ratio_txt = (_fmt(summary["max_envelope_ratio"])
                  if summary["max_envelope_ratio"] is not None else "n/a")
@@ -457,18 +436,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weighted patrol scheduling: planner, oracles, and attack analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str,
-            report: str | None = "{}") -> argparse.ArgumentParser:
-        """``report`` names the report file from the ``--out`` value (None: no report)."""
+    # ``report`` names a command's report file from its ``--out`` value (None: none).
+    def add(name: str, func, help_text: str, *documents: str) -> argparse.ArgumentParser:
+        """A command that reads an instance and ``documents`` and writes its
+        report to ``--out``."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, report=report)
+        p.set_defaults(func=func, report="{}")
+        p.add_argument("instance")
+        for document in documents:
+            p.add_argument(document, help=f"{document} document path")
+        p.add_argument("--out", help="write a JSON run report")
         return p
 
-    p = add("validate", _cmd_validate, "check an instance document")
-    p.add_argument("instance")
-    p.add_argument("--out", help="write a JSON run report")
+    add("validate", _cmd_validate, "check an instance document")
 
-    p = add("gen", _cmd_gen, "generate a random instance document", report=None)
+    p = sub.add_parser("gen", help="generate a random instance document")
+    p.set_defaults(func=_cmd_gen, report=None)
     p.add_argument("--n", type=int, required=True, help="number of points (>= 3)")
     p.add_argument("--weight-law", choices=WEIGHT_LAWS, default="uniform")
     p.add_argument("--geometry", choices=GEOMETRIES, default="euclidean-plane")
@@ -476,59 +459,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="instance output path (default: stdout)")
 
     p = add("plan", _cmd_plan, "compute an approximate patrol schedule")
-    p.add_argument("instance")
-    p.add_argument("--out", help="write a JSON run report")
     p.add_argument("--schedule-out", help="also write the bare schedule document")
 
-    p = add("eval", _cmd_eval, "evaluate a schedule document")
-    p.add_argument("instance")
-    p.add_argument("schedule", help="schedule document path")
+    p = add("eval", _cmd_eval, "evaluate a schedule document", "schedule")
     p.add_argument("--p", action="append",
                    help="absence-cost exponent: 'inf' or a number >= 2 "
                         "(repeatable; default: 2 and inf)")
-    p.add_argument("--out", help="write a JSON run report")
 
     p = add("oracle-tsp", _cmd_oracle_tsp,
             f"exact shortest closed tour (<= {HELD_KARP_MAX} points)")
-    p.add_argument("instance")
     p.add_argument("--subset", help="comma-separated point labels")
-    p.add_argument("--out", help="write a JSON run report")
 
     p = add("oracle-opt", _cmd_oracle_opt,
             f"exhaustive best schedule (<= {BRUTE_FORCE_MAX_POINTS} points)")
-    p.add_argument("instance")
     p.add_argument("--p", default="inf",
                    help="absence-cost exponent: 'inf' or a number >= 2")
     p.add_argument("--max-period", type=int,
                    help="longest visit sequence searched (default: n)")
-    p.add_argument("--out", help="write a JSON run report")
 
     p = add("oracle-cover", _cmd_oracle_cover,
             "exact min-max tree cover by partition enumeration")
-    p.add_argument("instance")
     p.add_argument("--subset", help="comma-separated point labels")
     p.add_argument("--k", type=int, required=True, help="maximum number of trees")
-    p.add_argument("--out", help="write a JSON run report")
 
     p = add("treecover", _cmd_treecover, "approximate min-max tree cover")
-    p.add_argument("instance")
     p.add_argument("--subset", help="comma-separated point labels")
     p.add_argument("--k", type=int, required=True, help="maximum number of trees")
-    p.add_argument("--out", help="write a JSON run report")
 
-    p = add("attack", _cmd_attack, "best attacker response against a schedule")
-    p.add_argument("instance")
-    p.add_argument("schedule", help="schedule document path")
-    p.add_argument("--out", help="write a JSON run report")
+    add("attack", _cmd_attack, "best attacker response against a schedule", "schedule")
 
-    p = add("mix", _cmd_mix, "collapse a mixed strategy into one schedule")
-    p.add_argument("instance")
-    p.add_argument("strategy", help="strategy document path")
-    p.add_argument("--out", help="write a JSON run report")
+    p = add("mix", _cmd_mix, "collapse a mixed strategy into one schedule", "strategy")
     p.add_argument("--schedule-out", help="also write the bare schedule document")
 
-    p = add("bench", _cmd_bench, "planner ratio table over a corpus directory",
-            report="{}.json")
+    p = sub.add_parser("bench", help="planner ratio table over a corpus directory")
+    p.set_defaults(func=_cmd_bench, report="{}.json")
     p.add_argument("corpus", help="directory of instance *.json documents")
     p.add_argument("--out", help="output prefix: writes PREFIX.json and PREFIX.csv")
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from patrolsched import (Schedule, held_karp_tsp, load_instance,
                          minmax_tree_cover, partition_tree_cover_oracle,
                          plan, point_cost, schedule_to_document,
                          serialize_instance, weighted_objective)
-from patrolsched.cli import main
+from patrolsched.cli import _write_json, main
 from conftest import random_instance
 
 
@@ -381,6 +382,20 @@ class TestBench:
         assert stripped(f"{p1}.json") == stripped(f"{p2}.json")
         assert Path(f"{p1}.csv").read_bytes() == Path(f"{p2}.csv").read_bytes()
 
+    def test_unreadable_entry_is_a_failed_row(self, tmp_path, corpus):
+        (corpus / "sub.json").mkdir()
+        prefix = tmp_path / "bench"
+        assert main(["bench", str(corpus), "--out", str(prefix)]) == 0
+        rows = read_json(f"{prefix}.json")["result"]["rows"]
+        assert [r["file"] for r in rows] == ["inst0.json", "inst1.json", "invalid.json",
+                                            "sub.json"]
+        assert rows[3]["status"] == "failed"
+        assert "Is a directory" in rows[3]["error"]
+        assert rows[3]["sha256"] is None
+        assert [r["status"] for r in rows[:2]] == ["ok", "ok"]
+        with open(f"{prefix}.csv") as fh:
+            assert list(csv.DictReader(fh))[3]["status"] == "failed"
+
     def test_empty_corpus_ok(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -390,6 +405,83 @@ class TestBench:
 
     def test_missing_corpus_exits_2(self, tmp_path):
         assert main(["bench", str(tmp_path / "nowhere")]) == 2
+
+
+def report_leaves(doc, path=()):
+    """Every (key path, value) of a report; list items share their list's path."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from report_leaves(value, (*path, key))
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from report_leaves(value, path)
+    else:
+        yield path, doc
+
+
+def unbounded_allowed(command, path):
+    """eval's objectives and point costs, attack's durations and utilities."""
+    if command == "eval":
+        return path[:2] == ("result", "per_p") and path[3] in ("objective", "point_costs")
+    if command == "attack":
+        return (path[:2] in (("result", "best"), ("result", "per_target"))
+                and path[-1] in ("duration", "utility"))
+    return False
+
+
+class TestReportPolicy:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_write_json_refuses_non_finite_floats(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            _write_json({"result": {"value": value}}, str(path))
+        assert not path.exists()
+
+    def test_unexpected_inf_is_an_error_not_unbounded(self, tmp_path, triangle_file,
+                                                       monkeypatch, capsys):
+        cover = minmax_tree_cover
+
+        def infinite_budget(*args, **kwargs):
+            return dataclasses.replace(cover(*args, **kwargs), budget_used=math.inf)
+        monkeypatch.setattr(patrolsched.cli, "minmax_tree_cover", infinite_budget)
+        out = tmp_path / "treecover.json"
+        assert main(["treecover", str(triangle_file), "--k", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1, captured.err
+        assert not out.exists()
+
+    def test_unbounded_only_where_a_point_goes_unvisited(self, tmp_path, triangle_file,
+                                                         triangle_schedule_file):
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps({"visits": ["a", "b"]}))
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"entries": [
+            {"schedule": {"visits": ["a", "b", "c"]}, "prob": 1.0}]}))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "triangle.json").write_bytes(triangle_file.read_bytes())
+        tri = str(triangle_file)
+        runs = [["validate", tri], ["plan", tri],
+                ["eval", tri, str(triangle_schedule_file)], ["eval", tri, str(partial)],
+                ["oracle-tsp", tri], ["oracle-opt", tri], ["oracle-cover", tri, "--k", "2"],
+                ["treecover", tri, "--k", "2"],
+                ["attack", tri, str(triangle_schedule_file)], ["attack", tri, str(partial)],
+                ["mix", tri, str(strategy)], ["bench", str(corpus)]]
+        unbounded = set()
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"report-{i}"
+            assert main([*argv, "--out", str(out)]) == 0, argv
+            report = read_json(f"{out}.json" if argv[0] == "bench" else out)
+            for path, value in report_leaves(report):
+                if isinstance(value, float):
+                    assert math.isfinite(value), (argv, path)
+                if value == "unbounded":
+                    assert unbounded_allowed(argv[0], path), (argv, path)
+                    unbounded.add((argv[0], path[-1]))
+        assert {command for command, _ in unbounded} == {"eval", "attack"}
+        assert ("eval", "c") in unbounded and ("attack", "utility") in unbounded
 
 
 class TestUsage:
