@@ -174,6 +174,20 @@ class Instance:
         }
 
 
+def _float_array(value: Any, name: str) -> np.ndarray:
+    """``value`` as a float array, or an InstanceFormatError naming ``name``.
+
+    numpy raises TypeError for a non-number such as a JSON object,
+    OverflowError for an integer past the float range, and ValueError for
+    ragged rows or a string that is not a number.
+    """
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, OverflowError, ValueError):
+        raise InstanceFormatError(
+            f"'{name}' must be an array of numbers with rows of equal length") from None
+
+
 def make_instance(labels: Sequence[str], weights: Sequence[float],
                   dist: np.ndarray) -> Instance:
     """Build an Instance: normalize weights (max becomes 1) and validate."""
@@ -182,7 +196,7 @@ def make_instance(labels: Sequence[str], weights: Sequence[float],
         raise InstanceFormatError("instance needs at least one point")
     if len(set(labels)) != len(labels):
         raise InstanceFormatError("point labels must be unique")
-    w = np.asarray(weights, dtype=float)
+    w = _float_array(weights, "weights")
     if w.shape != (len(labels),):
         raise InstanceFormatError(
             f"expected {len(labels)} weights, got shape {w.shape}")
@@ -190,9 +204,14 @@ def make_instance(labels: Sequence[str], weights: Sequence[float],
         bad = int(np.argmin(w)) if np.isfinite(w).all() else int(np.flatnonzero(~np.isfinite(w))[0])
         raise NonpositiveWeightError(
             f"weights must be finite and strictly positive; weight[{bad}]={w[bad]!r}")
-    w = w / w.max()
+    top = float(w.max())
+    w = w / top
+    if not w.all():  # a weight tiny beside the largest underflowed to 0
+        bad = int(np.argmin(w))
+        raise NonpositiveWeightError(f"weight[{bad}] of point {labels[bad]!r} normalizes "
+                                     f"to 0 against the largest weight {top!r}")
 
-    d = np.asarray(dist, dtype=float)
+    d = _float_array(dist, "dist")
     if d.shape != (len(labels), len(labels)):
         raise InstanceFormatError(
             f"expected a {len(labels)}x{len(labels)} distance matrix, got shape {d.shape}")
@@ -229,11 +248,11 @@ def instance_from_document(doc: Any) -> Instance:
     if kind == "explicit":
         if "dist" not in metric:
             raise InstanceFormatError("explicit metric needs a 'dist' matrix")
-        dist = np.asarray(metric["dist"], dtype=float)
+        dist = _float_array(metric["dist"], "metric.dist")
     elif kind == "euclidean":
         if "coords" not in metric:
             raise InstanceFormatError("euclidean metric needs a 'coords' array")
-        coords = np.asarray(metric["coords"], dtype=float)
+        coords = _float_array(metric["coords"], "metric.coords")
         if coords.ndim != 2 or coords.shape[0] != len(labels):
             raise InstanceFormatError(
                 f"expected {len(labels)} coordinate pairs, got shape {coords.shape}")

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Any, Sequence
 
 import numpy as np
 
 from .instance import TRIANGLE_TOL, Instance
-from .mst import _fold, _normalize_subset, _spanning_forest, minimum_spanning_tree
+from .mst import _fold, _normalize_subset, _spanning_forest
 from .schedule import Schedule, UNBOUNDED, _cost_of_gaps, _validate_p
 
 HELD_KARP_MAX = 16
@@ -148,7 +148,8 @@ def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> Oracl
     (rotations are equivalent), has no immediate repeats, and visits every
     point, and minimizes ``weighted_objective`` at order ``p``.  This is an
     upper bound on the true optimum — longer periods could do better — which
-    ``search_bound`` records.
+    ``search_bound`` records.  The witness has the smallest objective, then
+    the shortest period, then comes first lexicographically.
     """
     p = _validate_p(p)
     n = inst.n
@@ -167,86 +168,58 @@ def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> Oracl
 
     dist = inst.dist.tolist()
     weights = inst.weights.tolist()
-    is_inf = math.isinf(p)
-    best = math.inf
-    best_seq: tuple[int, ...] | None = None
 
-    def evaluate(seq: list[int]) -> float:
-        length = len(seq)
-        cum = [0.0] * length
-        acc = 0.0
-        for i in range(1, length):
-            acc += dist[seq[i - 1]][seq[i]]
-            cum[i] = acc
-        period = acc + dist[seq[-1]][seq[0]]
+    def score(seq: tuple[int, ...], times: tuple[float, ...]) -> float:
+        period = times[-1] + dist[seq[-1]][0]
+        visits: list[list[float]] = [[] for _ in weights]
+        for x, t in zip(seq, times):
+            visits[x].append(t)
         worst = 0.0
-        for x in range(n):
-            ts = [cum[i] for i in range(length) if seq[i] == x]
+        for w, ts in zip(weights, visits):
             gaps = [b - a for a, b in zip(ts, ts[1:])]
             gaps.append(period - ts[-1] + ts[0])
-            if is_inf:
-                c = max(gaps)
-            else:
-                c = _cost_of_gaps(gaps, p)
-            wc = weights[x] * c
+            wc = w * _cost_of_gaps(gaps, p)
             if wc > worst:
                 worst = wc
         return worst
 
-    seq = [0]
-
-    def extend(seen_mask: int, nseen: int, length: int) -> None:
-        nonlocal best, best_seq
-        if length == target_len:
-            if nseen == n and seq[-1] != 0:
-                value = evaluate(seq)
-                if value < best:
-                    best = value
-                    best_seq = tuple(seq)
-            return
-        if n - nseen > target_len - length:
+    def candidates(seq: tuple[int, ...], times: tuple[float, ...], left: int):
+        """(objective, length, sequence) of ``seq`` and of every extension of
+        it; ``times`` are its visit times, ``left`` the points it misses."""
+        if left > max_period - len(seq):
             return  # not enough slots left to visit every point
         last = seq[-1]
-        for v in range(n):
-            if v == last:
-                continue
-            bit = 1 << v
-            seq.append(v)
-            extend(seen_mask | bit, nseen + (0 if seen_mask & bit else 1), length + 1)
-            seq.pop()
+        if not left and last != 0:
+            yield score(seq, times), len(seq), seq
+        if len(seq) < max_period:
+            for v in range(n):
+                if v != last:
+                    yield from candidates(seq + (v,), times + (times[-1] + dist[last][v],),
+                                          left - (v not in seq))
 
-    for target_len in range(n, max_period + 1):
-        extend(1, 1, 1)
-
-    if best_seq is None:  # every candidate scored inf
+    value, _, seq = min(candidates((0,), (0.0,), n - 1))
+    if math.isinf(value):  # every candidate scored inf
         raise ValueError("every patrol's weighted objective overflows to inf: the "
                          "distances are too large to sum in floating point")
-    return OracleResult(float(best), Schedule(best_seq), bound)
+    return OracleResult(value, Schedule(seq), bound)
 
 
 def _partitions_upto(items: tuple[int, ...], max_parts: int):
     """All set partitions of ``items`` into at most ``max_parts`` blocks.
 
     Canonical enumeration: each item joins an existing block or opens the
-    next one (restricted growth), so no partition appears twice.
+    next one (restricted growth), so no partition appears twice.  The last
+    item varies fastest: it joins each block in turn, then opens a new one.
     """
-    parts: list[list[int]] = []
-
-    def rec(i: int):
-        if i == len(items):
-            yield tuple(tuple(p) for p in parts)
-            return
-        x = items[i]
-        for p in parts:
-            p.append(x)
-            yield from rec(i + 1)
-            p.pop()
+    if not items:
+        yield ()
+        return
+    x = items[-1]
+    for parts in _partitions_upto(items[:-1], max_parts):
+        for i in range(len(parts)):
+            yield parts[:i] + (parts[i] + (x,),) + parts[i + 1:]
         if len(parts) < max_parts:
-            parts.append([x])
-            yield from rec(i + 1)
-            parts.pop()
-
-    yield from rec(0)
+            yield parts + ((x,),)
 
 
 def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
@@ -255,7 +228,8 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
 
     For every partition of the subset into at most k blocks, the cheapest
     way to connect each block is its MST; the oracle minimizes the maximum
-    block MST cost.  The witness is the minimizing partition.
+    block MST cost.  The witness is the minimizing partition, the first in
+    restricted-growth order.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -268,14 +242,10 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
         raise ValueError(
             f"partition oracle is limited to {PARTITION_MAX_PARTS} parts, got {k}")
 
-    mst_cache: dict[tuple[int, ...], float] = {}
-
+    @cache
     def block_cost(block: tuple[int, ...]) -> float:
-        c = mst_cache.get(block)
-        if c is None:
-            c = minimum_spanning_tree(inst, block).cost
-            mst_cache[block] = c
-        return c
+        """``minimum_spanning_tree(inst, block).cost``, summed in the same order."""
+        return _fold(_spanning_forest(inst.dist, block)[2].tolist())
 
     best = math.inf
     best_partition: tuple[tuple[int, ...], ...] | None = None

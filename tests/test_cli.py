@@ -122,6 +122,39 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.count("error: point labels must be strings, got ['a']\n") == 2
 
+    @pytest.mark.parametrize("bad", [{}, [1, 2], 10 ** 400],
+                             ids=["object", "ragged", "past-float-range"])
+    @pytest.mark.parametrize("field", ["weights", "metric.dist", "metric.coords"])
+    def test_non_number_in_array_exits_1_with_one_line_error(self, tmp_path, capsys,
+                                                             field, bad):
+        explicit = {"type": "explicit", "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+        weights, metric = {
+            "weights": ([1, bad, 1], explicit),
+            "metric.dist": ([1, 1, 1], {"type": "explicit",
+                                        "dist": [[0, 1, 1], [1, bad, 1], [1, 1, 0]]}),
+            "metric.coords": ([1, 1, 1], {"type": "euclidean",
+                                          "coords": [[0, 0], [1, bad], [0, 1]]}),
+        }[field]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"labels": ["a", "b", "c"], "weights": weights,
+                                    "metric": metric}))
+        assert main(["validate", str(path)]) == 1
+        assert main(["plan", str(path)]) == 1
+        message = f"error: '{field}' must be an array of numbers with rows of equal length\n"
+        assert capsys.readouterr().err == message * 2
+
+    def test_weight_that_normalizes_to_0_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "labels": ["a", "b", "c"], "weights": [1e308, 1e-308, 1],
+            "metric": {"type": "explicit",
+                       "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}))
+        assert main(["validate", str(path)]) == 1
+        assert main(["plan", str(path)]) == 1
+        message = ("error: weight[1] of point 'b' normalizes to 0 against the largest "
+                   "weight 1e+308\n")
+        assert capsys.readouterr().err == message * 2
+
     def test_reports_the_path_as_given_like_plan(self, tmp_path, monkeypatch, unit_triangle):
         (tmp_path / "x.json").write_text(serialize_instance(unit_triangle))
         monkeypatch.chdir(tmp_path)

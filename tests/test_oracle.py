@@ -16,7 +16,7 @@ from patrolsched import (GEOMETRIES, WEIGHT_LAWS, RandomSpec, Schedule,
                          weighted_objective)
 from patrolsched.instance import TRIANGLE_TOL
 from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _held_karp_table,
-                                _paths_to)
+                                _partitions_upto, _paths_to)
 from conftest import (random_instance, random_metric_instance, reference_held_karp,
                       reference_incremental_lower_bound, reference_lower_bound)
 
@@ -98,7 +98,48 @@ def test_held_karp_matches_permutation_enumeration(seed, m):
     assert period_length(res.witness, inst) == pytest.approx(res.value, rel=1e-12)
 
 
+def l1_grid(cells, weights):
+    """Points on the integer grid at L1 distances: integer costs, many ties."""
+    pts = np.array(cells, dtype=float)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
+    return make_instance([f"q{i}" for i in range(len(cells))], weights, dist)
+
+
+GRID_FIVE = l1_grid([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)], [1, 0.5, 1, 0.5, 0.5])
+GRID_SIX = l1_grid([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
+                   [1, 0.5, 1, 0.5, 0.5, 0.25])
+GRID_NINE = l1_grid([(x, y) for y in range(3) for x in range(3)],
+                    [1, 0.5, 1, 0.5, 0.25, 0.5, 1, 0.5, 1])
+
+
 class TestBruteForceWeightedOpt:
+    # (instance, p, max_period, value.hex(), witness): among equal objectives
+    # the shortest period wins, then the lexicographically first sequence
+    @pytest.mark.parametrize("inst, p, max_period, value, witness", [
+        (GRID_FIVE, math.inf, 5, "0x1.8000000000000p+2", "q0 q1 q2 q4 q3"),
+        (GRID_FIVE, math.inf, 6, "0x1.8000000000000p+2", "q0 q1 q2 q4 q3"),
+        (GRID_FIVE, math.inf, 7, "0x1.8000000000000p+2", "q0 q1 q2 q4 q3"),
+        (GRID_FIVE, 2.0, 5, "0x1.8000000000000p+2", "q0 q1 q2 q4 q3"),
+        (GRID_FIVE, 2.0, 6, "0x1.8000000000000p+2", "q0 q1 q2 q4 q3"),
+        (GRID_FIVE, 2.0, 7, "0x1.4cccccccccccdp+2", "q0 q1 q2 q0 q2 q4 q3"),
+        (GRID_FIVE, 3.0, 5, "0x1.8000000000000p+2", "q0 q1 q2 q4 q3"),
+        (GRID_FIVE, 3.0, 6, "0x1.8000000000000p+2", "q0 q1 q2 q4 q3"),
+        (GRID_FIVE, 3.0, 7, "0x1.589d89d89d89ep+2", "q0 q1 q2 q0 q2 q4 q3"),
+        (GRID_SIX, math.inf, 6, "0x1.8000000000000p+2", "q0 q1 q2 q5 q4 q3"),
+        (GRID_SIX, math.inf, 7, "0x1.8000000000000p+2", "q0 q1 q2 q5 q4 q3"),
+        (GRID_SIX, math.inf, 8, "0x1.8000000000000p+2", "q0 q1 q2 q5 q4 q3"),
+        (GRID_SIX, 2.0, 6, "0x1.8000000000000p+2", "q0 q1 q2 q5 q4 q3"),
+        (GRID_SIX, 2.0, 7, "0x1.8000000000000p+2", "q0 q1 q2 q5 q4 q3"),
+        (GRID_SIX, 2.0, 8, "0x1.4cccccccccccdp+2", "q0 q1 q2 q0 q2 q5 q4 q3"),
+        (GRID_SIX, 3.0, 6, "0x1.8000000000000p+2", "q0 q1 q2 q5 q4 q3"),
+        (GRID_SIX, 3.0, 7, "0x1.8000000000000p+2", "q0 q1 q2 q5 q4 q3"),
+        (GRID_SIX, 3.0, 8, "0x1.589d89d89d89ep+2", "q0 q1 q2 q0 q2 q5 q4 q3"),
+    ])
+    def test_tie_break_goldens(self, inst, p, max_period, value, witness):
+        res = brute_force_weighted_opt(inst, p, max_period)
+        assert res.value.hex() == value
+        assert " ".join(inst.labels[v] for v in res.witness.visits) == witness
+
     def test_unit_triangle_weighted(self, unit_triangle):
         res = brute_force_weighted_opt(unit_triangle, math.inf, 4)
         assert res.value == 2.0
@@ -161,6 +202,46 @@ class TestPartitionOracle:
         res = partition_tree_cover_oracle(inst, None, 3)
         worst = max(minimum_spanning_tree(inst, block).cost for block in res.witness)
         assert worst == pytest.approx(res.value, rel=1e-12)
+
+
+    # the first minimizing partition in restricted-growth order is the witness
+    @pytest.mark.parametrize("k, value, witness", [
+        (1, "0x1.0000000000000p+3", "q0 q1 q2 q3 q4 q5 q6 q7 q8"),
+        (2, "0x1.0000000000000p+2", "q0 q1 q2 q3 q4 | q5 q6 q7 q8"),
+        (3, "0x1.0000000000000p+1", "q0 q1 q2 | q3 q4 q5 | q6 q7 q8"),
+        (4, "0x1.0000000000000p+1", "q0 q1 q2 | q3 q4 q5 | q6 q7 q8"),
+    ])
+    def test_tie_break_goldens(self, k, value, witness):
+        res = partition_tree_cover_oracle(GRID_NINE, None, k)
+        assert res.value.hex() == value
+        assert " | ".join(" ".join(GRID_NINE.labels[v] for v in block)
+                          for block in res.witness) == witness
+
+
+def stirling2(m, j):
+    """Number of partitions of m items into exactly j non-empty blocks."""
+    if m == 0 or j == 0:
+        return int(m == j)
+    return j * stirling2(m - 1, j) + stirling2(m - 1, j - 1)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_partitions_come_once_in_restricted_growth_order(m, k):
+    items = (2, 3, 5, 7, 11, 13, 17)[:m]
+    partitions = list(_partitions_upto(items, k))
+    assert len(partitions) == sum(stirling2(m, j) for j in range(1, k + 1))
+    growth = []
+    for partition in partitions:
+        assert 1 <= len(partition) <= k
+        # canonical: ascending blocks, ordered by their first item, covering items once
+        assert all(list(block) == sorted(block) for block in partition)
+        assert [block[0] for block in partition] == sorted(block[0] for block in partition)
+        assert sorted(x for block in partition for x in block) == list(items)
+        growth.append([next(b for b, block in enumerate(partition) if x in block)
+                       for x in items])
+    # strictly increasing block-index strings: each partition once, in order
+    assert all(a < b for a, b in zip(growth, growth[1:]))
 
 
 @settings(max_examples=30, deadline=None)
