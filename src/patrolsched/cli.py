@@ -108,7 +108,7 @@ def _fmt(x: float) -> str:
 def _read_json(path: str) -> Any:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep: RecursionError
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -409,6 +409,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
         "all_envelopes_ok": all(r["envelope_ok"] for r in ok),
     }
     if args.out is not None:
+        json.dumps(rows, allow_nan=False)  # a row the report cannot hold fails before the CSV
         with open(f"{args.out}.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS)
             writer.writeheader()

@@ -203,7 +203,7 @@ def make_instance(labels: Sequence[str], weights: Sequence[float],
     if not np.isfinite(w).all() or (w <= 0.0).any():
         bad = int(np.argmin(w)) if np.isfinite(w).all() else int(np.flatnonzero(~np.isfinite(w))[0])
         raise NonpositiveWeightError(
-            f"weights must be finite and strictly positive; weight[{bad}]={w[bad]!r}")
+            f"weights must be finite and strictly positive; weight[{bad}]={float(w[bad])!r}")
     top = float(w.max())
     w = w / top
     if not w.all():  # a weight tiny beside the largest underflowed to 0
@@ -266,7 +266,7 @@ def load_instance(text: str) -> Instance:
     """Parse an instance JSON document from a string."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # nested too deep: RecursionError
         raise InstanceFormatError(f"invalid JSON: {e}") from None
     return instance_from_document(doc)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .instance import TRIANGLE_TOL, Instance
 from .mst import _fold, _normalize_subset, _spanning_forest
-from .schedule import Schedule, UNBOUNDED, _cost_of_gaps, _validate_p
+from .schedule import Schedule, _cost_of_gaps, _profiles, _validate_p, worst_weighted
 
 HELD_KARP_MAX = 16
 BRUTE_FORCE_MAX_POINTS = 6
@@ -167,37 +167,28 @@ def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> Oracl
         return OracleResult(0.0, Schedule((0,)), bound)
 
     dist = inst.dist.tolist()
-    weights = inst.weights.tolist()
 
-    def score(seq: tuple[int, ...], times: tuple[float, ...]) -> float:
-        period = times[-1] + dist[seq[-1]][0]
-        visits: list[list[float]] = [[] for _ in weights]
-        for x, t in zip(seq, times):
-            visits[x].append(t)
-        worst = 0.0
-        for w, ts in zip(weights, visits):
-            gaps = [b - a for a, b in zip(ts, ts[1:])]
-            gaps.append(period - ts[-1] + ts[0])
-            wc = w * _cost_of_gaps(gaps, p)
-            if wc > worst:
-                worst = wc
-        return worst
+    def score(seq: tuple[int, ...]) -> float:
+        try:
+            profiles, _ = _profiles(seq, [dist[a][b] for a, b in zip(seq, seq[1:] + (0,))], n)
+        except ValueError:  # the period overflows, so some absence is inf
+            return math.inf
+        return worst_weighted([_cost_of_gaps(gaps, p) for gaps in profiles], inst)
 
-    def candidates(seq: tuple[int, ...], times: tuple[float, ...], left: int):
+    def candidates(seq: tuple[int, ...], left: int):
         """(objective, length, sequence) of ``seq`` and of every extension of
-        it; ``times`` are its visit times, ``left`` the points it misses."""
+        it; ``left`` is the number of points it misses."""
         if left > max_period - len(seq):
             return  # not enough slots left to visit every point
         last = seq[-1]
         if not left and last != 0:
-            yield score(seq, times), len(seq), seq
+            yield score(seq), len(seq), seq
         if len(seq) < max_period:
             for v in range(n):
                 if v != last:
-                    yield from candidates(seq + (v,), times + (times[-1] + dist[last][v],),
-                                          left - (v not in seq))
+                    yield from candidates(seq + (v,), left - (v not in seq))
 
-    value, _, seq = min(candidates((0,), (0.0,), n - 1))
+    value, _, seq = min(candidates((0,), n - 1))
     if math.isinf(value):  # every candidate scored inf
         raise ValueError("every patrol's weighted objective overflows to inf: the "
                          "distances are too large to sum in floating point")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Sequence
 
 import numpy as np
@@ -70,46 +71,60 @@ def _check_points(visits: Sequence[int], n: int) -> np.ndarray:
     return v
 
 
-def _hop_sums(v: np.ndarray, inst: Instance) -> tuple[np.ndarray, float]:
-    """Running sums of the hops from ``v[0]`` and the period they end in.
+def _hops(s: Schedule, inst: Instance) -> list[float]:
+    """The travel time from each visit to the next, the wrap-around hop last."""
+    v = _check_points(s.visits, inst.n)
+    return inst.dist[v, np.concatenate((v[1:], v[:1]))].tolist()
 
-    The hops are folded left to right in visit order, the wrap-around hop
-    last, so the last running sum is the period.  Every period in the
-    package is this sum.
+
+def _visit_times(hops: Sequence[float]) -> list[float]:
+    """Every visit's time, then the period: 0.0, then the running sums of ``hops``.
+
+    The hops are folded left to right, the wrap-around hop last; every
+    period in the package is this sum.
     """
-    with np.errstate(over="ignore"):
-        cum = inst.dist[v, np.concatenate((v[1:], v[:1]))].cumsum()
-    period = float(cum[-1])
-    if not math.isfinite(period):
-        raise ValueError(f"schedule period overflows to {period}: "
+    times = [0.0, *accumulate(hops)]
+    if not math.isfinite(times[-1]):
+        raise ValueError(f"schedule period overflows to {times[-1]}: "
                          f"the travel times are too long to add up in floating point")
-    return cum, period
+    return times
 
 
 def period_length(s: Schedule, inst: Instance) -> float:
     """Total travel time of one period, including the wrap-around hop (added last)."""
-    return _hop_sums(_check_points(s.visits, inst.n), inst)[1]
+    return _visit_times(_hops(s, inst))[-1]
 
 
-def _profiles(visits: Sequence[int], inst: Instance) -> tuple[np.ndarray, np.ndarray, float]:
-    """Absence profile of every point in one pass: (gaps, starts, period).
+def _profiles(visits: Sequence[int], hops: Sequence[float],
+              n: int) -> tuple[list[list[float] | None], float]:
+    """Absence profile of every point and the period, in one walk.
 
-    ``gaps[starts[x]:starts[x+1]]`` are the cyclic gaps between consecutive
-    visits of ``x`` (empty if ``x`` never appears), in order of occurrence
-    starting from x's first visit, so the wrap-around gap comes last.
-    Visit times and the period are the running sums of ``_hop_sums``.
+    ``hops[i]`` is the travel time from ``visits[i]`` to the next visit, the
+    wrap-around hop last.  ``profiles[x]`` lists x's gaps in order of
+    occurrence from its first visit, the wrap-around gap
+    ``(period - last) + first`` last, and is None if ``x`` never appears.
     """
-    v = _check_points(visits, inst.n)
-    cum, period = _hop_sums(v, inst)
-    ts = np.concatenate(((0.0,), cum[:-1]))[v.argsort(kind="stable")]
-    starts = np.zeros(inst.n + 1, dtype=np.intp)
-    np.bincount(v, minlength=inst.n).cumsum(out=starts[1:])
-    gaps = np.empty_like(ts)
-    np.subtract(ts[1:], ts[:-1], out=gaps[:-1])
-    visited = starts[1:] > starts[:-1]
-    last = starts[1:][visited] - 1
-    gaps[last] = (period - ts[last]) + ts[starts[:-1][visited]]
-    return gaps, starts, period
+    *times, period = _visit_times(hops)
+    profiles: list[list[float] | None] = [None] * n
+    first = [0.0] * n
+    last = [0.0] * n
+    for x, t in zip(visits, times):
+        gaps = profiles[x]
+        if gaps is None:
+            profiles[x] = []
+            first[x] = t
+        else:
+            gaps.append(t - last[x])
+        last[x] = t
+    for x, gaps in enumerate(profiles):
+        if gaps is not None:
+            gaps.append((period - last[x]) + first[x])
+    return profiles, period
+
+
+def _walk(s: Schedule, inst: Instance) -> tuple[list[list[float] | None], float]:
+    """:func:`_profiles` of a schedule on ``inst``."""
+    return _profiles(s.visits, _hops(s, inst), inst.n)
 
 
 def absence_profile(s: Schedule, x: int, inst: Instance) -> list[float] | None:
@@ -117,10 +132,10 @@ def absence_profile(s: Schedule, x: int, inst: Instance) -> list[float] | None:
 
     The profile always sums to the period length.
     """
-    gaps, starts, _ = _profiles(s.visits, inst)
+    profiles, _ = _walk(s, inst)
     if not 0 <= x < inst.n:
         raise ValueError(f"unknown point index {x}")
-    return gaps[starts[x]:starts[x + 1]].tolist() or None
+    return profiles[x]
 
 
 def _validate_p(p: float) -> float:
@@ -169,9 +184,7 @@ def point_costs(s: Schedule, inst: Instance, ps: Sequence[float]) -> list[list[f
     """Every point's :func:`point_cost` for each order in ``ps``, from one
     profile pass: ``point_costs(s, inst, ps)[i][x]`` is x's cost at ``ps[i]``."""
     ps = [_validate_p(p) for p in ps]
-    gaps, starts, _ = _profiles(s.visits, inst)
-    flat, bounds = gaps.tolist(), starts.tolist()
-    profiles = [flat[i:j] or None for i, j in zip(bounds, bounds[1:])]
+    profiles, _ = _walk(s, inst)
     return [[_cost_of_gaps(g, p) for g in profiles] for p in ps]
 
 

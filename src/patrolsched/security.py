@@ -27,8 +27,7 @@ from typing import Any
 import numpy as np
 
 from .instance import Instance
-from .schedule import (Schedule, UNBOUNDED, _cost_of_gaps, _profiles,
-                       absence_profile, period_length, point_costs,
+from .schedule import (Schedule, UNBOUNDED, _cost_of_gaps, _walk, absence_profile,
                        schedule_from_document, schedule_to_document)
 
 PROB_TOL = 1e-9
@@ -82,14 +81,14 @@ def success_probability(s: Schedule, inst: Instance, x: int, t: float) -> float:
     """
     if t < 0.0:
         raise ValueError(f"attack duration must be nonnegative, got {t!r}")
-    gaps, starts, period = _profiles(s.visits, inst)
+    profiles, period = _walk(s, inst)
     if not 0 <= x < inst.n:
         raise ValueError(f"unknown point index {x}")
-    if starts[x] == starts[x + 1]:
+    if profiles[x] is None:
         return 1.0
     if period == 0.0:
         return 1.0 if t == 0.0 else 0.0  # degenerate single-visit schedule
-    return float(_excess(gaps[starts[x]:starts[x + 1]], np.array([t]))[0]) / period
+    return float(_excess(np.array(profiles[x]), np.array([t]))[0]) / period
 
 
 def expected_return_time(s: Schedule, inst: Instance, x: int) -> float:
@@ -140,16 +139,15 @@ def per_target_best(s: Schedule, inst: Instance) -> list[AttackOutcome]:
     An unvisited point yields an unbounded outcome (infinite duration and
     utility).
     """
-    gaps, starts, period = _profiles(s.visits, inst)
-    bounds = starts.tolist()
+    profiles, period = _walk(s, inst)
     out: list[AttackOutcome] = []
     # a utility past the float range raises ValueError, without a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, (w, i, j) in enumerate(zip(inst.weights.tolist(), bounds, bounds[1:])):
-            if i == j:
+        for x, (w, gaps) in enumerate(zip(inst.weights.tolist(), profiles)):
+            if gaps is None:
                 out.append(AttackOutcome(target=x, duration=UNBOUNDED, utility=UNBOUNDED))
             else:
-                t, u = _best_attack_on_gaps(gaps[i:j], period, w)
+                t, u = _best_attack_on_gaps(np.array(gaps), period, w)
                 out.append(AttackOutcome(target=x, duration=t, utility=u))
     return out
 
@@ -202,12 +200,13 @@ def mix_tours(strategy: MixedStrategy, inst: Instance) -> Schedule:
     kept = entries[:top + 1]
     q = kept[-1][1]
 
-    periods = [period_length(sched, inst) for sched, _ in kept]
-    d_bar = max(periods)
+    walks = [_walk(sched, inst) for sched, _ in kept]
+    d_bar = max(period for _, period in walks)
 
     scale = 0.0
-    for sched, _ in kept:
-        for c2 in point_costs(sched, inst, [2.0])[0]:
+    for profiles, _ in walks:
+        for gaps in profiles:
+            c2 = _cost_of_gaps(gaps, 2.0)
             if c2 > 0.0:
                 scale = max(scale, 8.0 * d_bar / c2)
     if scale == 0.0:
@@ -216,7 +215,7 @@ def mix_tours(strategy: MixedStrategy, inst: Instance) -> Schedule:
         scale = 1.0
 
     visits: list[int] = []
-    for (sched, prob), period in zip(kept, periods):
+    for (sched, prob), (_, period) in zip(kept, walks):
         if period == 0.0:
             copies = 1
         else:

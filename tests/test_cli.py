@@ -11,10 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import patrolsched
-from patrolsched import (Schedule, held_karp_tsp, load_instance,
+from patrolsched import (Schedule, held_karp_tsp, load_instance, make_instance,
                          minmax_tree_cover, partition_tree_cover_oracle,
                          plan, point_cost, schedule_to_document,
                          serialize_instance, weighted_objective)
@@ -77,6 +78,22 @@ def assert_one_line_error(proc):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# An array nested far past the interpreter's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.fixture
+def golden_files(tmp_path):
+    """Five points in the plane and a schedule that revisits three of them."""
+    coords = np.array([(0, 0), (3, 1), (1, 4), (5, 5), (2, 2)], dtype=float)
+    dist = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(axis=-1))
+    inst = make_instance(["a", "b", "c", "d", "e"], [1.0, 0.7, 0.3, 0.55, 0.9], dist)
+    ipath, spath = tmp_path / "five.json", tmp_path / "five-sched.json"
+    ipath.write_text(serialize_instance(inst))
+    spath.write_text(json.dumps({"visits": "a e b a d c e b".split()}))
+    return ipath, spath
 
 
 class TestValidate:
@@ -142,6 +159,25 @@ class TestValidate:
         assert main(["plan", str(path)]) == 1
         message = f"error: '{field}' must be an array of numbers with rows of equal length\n"
         assert capsys.readouterr().err == message * 2
+
+    def test_deeply_nested_instance_exits_1_with_one_line_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"labels": ["a", "b", "c"], "weights": [1, 1, 1], '
+                        '"metric": {"type": "explicit", "dist": ' + DEEP + '}}')
+        for command in ("validate", "plan"):
+            proc = run_cli_process(command, str(path))
+            assert_one_line_error(proc)
+            assert proc.stderr.startswith("error: invalid JSON: maximum recursion depth")
+
+    def test_negative_weight_message_prints_the_value(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "labels": ["a", "b", "c"], "weights": [1, -1, 1],
+            "metric": {"type": "explicit",
+                       "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: weights must be finite and strictly "
+                                           "positive; weight[1]=-1.0\n")
 
     def test_weight_that_normalizes_to_0_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -250,6 +286,37 @@ class TestEval:
             assert per_p[key]["point_costs"] == {
                 inst.labels[x]: point_cost(s, x, inst, p) for x in range(inst.n)}
 
+    def test_float_hex_golden(self, tmp_path, golden_files):
+        # exact bits, captured from the earlier numpy profile kernel
+        out = tmp_path / "eval.json"
+        assert main(["eval", *map(str, golden_files), "--p", "2", "--p", "3", "--p", "inf",
+                     "--out", str(out)]) == 0
+        res = read_json(out)["result"]
+        assert res["period"].hex() == "0x1.96961f57d224fp+4"
+        hexed = {key: (entry["objective"].hex(),
+                       " ".join(c.hex() for c in entry["point_costs"].values()))
+                 for key, entry in res["per_p"].items()}
+        assert hexed == {
+            "2": ("0x1.dd5b2bcd9db22p+3",
+                  "0x1.dd5b2bcd9db22p+3 0x1.dd5b2bcd9db23p+3 0x1.96961f57d224ep+4 "
+                  "0x1.96961f57d224ep+4 0x1.dd5b2bcd9db23p+3"),
+            "3": ("0x1.079231a2b0a8fp+4",
+                  "0x1.079231a2b0a8fp+4 0x1.079231a2b0a8fp+4 0x1.96961f57d2250p+4 "
+                  "0x1.96961f57d2250p+4 0x1.079231a2b0a8fp+4"),
+            "inf": ("0x1.201b93ae9fbaep+4",
+                    "0x1.201b93ae9fbaep+4 0x1.201b93ae9fbaep+4 0x1.96961f57d224fp+4 "
+                    "0x1.96961f57d224fp+4 0x1.201b93ae9fbaep+4"),
+        }
+
+    def test_deeply_nested_schedule_exits_1_with_one_line_error(self, tmp_path,
+                                                               triangle_file):
+        sched = tmp_path / "deep.json"
+        sched.write_text('{"visits": ' + DEEP + '}')
+        for command in ("eval", "attack"):
+            proc = run_cli_process(command, str(triangle_file), str(sched))
+            assert_one_line_error(proc)
+            assert proc.stderr.startswith(f"error: {sched}: not valid JSON: maximum recursion")
+
     def test_missing_point_reports_unbounded(self, tmp_path, triangle_file):
         sched = tmp_path / "partial.json"
         sched.write_text(json.dumps({"visits": ["a", "b"]}))
@@ -322,6 +389,22 @@ class TestAttack:
         best = read_json(out)["result"]["best"]
         assert best == {"target": "a", "duration": 1.0, "utility": 0.5}
 
+    def test_float_hex_golden(self, tmp_path, golden_files):
+        # exact bits, captured from the earlier numpy profile kernel
+        out = tmp_path / "attack.json"
+        assert main(["attack", *map(str, golden_files), "--out", str(out)]) == 0
+        res = read_json(out)["result"]
+        hexed = [(o["target"], o["duration"].hex(), o["utility"].hex())
+                 for o in [res["best"], *res["per_target"]]]
+        assert hexed == [
+            ("d", "0x1.96961f57d224fp+3", "0x1.bf3ebc13cd8f1p+1"),
+            ("a", "0x1.201b93ae9fbaep+3", "0x1.984e9dec3c29ep+1"),
+            ("b", "0x1.201b93ae9fbaep+3", "0x1.1dd0a1bef6ea2p+1"),
+            ("c", "0x1.96961f57d224fp+3", "0x1.e7e758cfc8f92p+0"),
+            ("d", "0x1.96961f57d224fp+3", "0x1.bf3ebc13cd8f1p+1"),
+            ("e", "0x1.201b93ae9fbaep+3", "0x1.6f79f487cfbf5p+1"),
+        ]
+
     def test_one_per_target_pass(self, triangle_file, triangle_schedule_file, monkeypatch):
         calls = count_calls(monkeypatch, "per_target_best")
         assert main(["attack", str(triangle_file), str(triangle_schedule_file)]) == 0
@@ -360,6 +443,14 @@ class TestMix:
         strat.write_text(json.dumps({"entries": [
             {"schedule": {"visits": ["a", "b", "c"]}, "prob": 0.9}]}))
         assert main(["mix", str(triangle_file), str(strat)]) == 1
+
+    def test_deeply_nested_strategy_exits_1_with_one_line_error(self, tmp_path,
+                                                               triangle_file):
+        strat = tmp_path / "deep.json"
+        strat.write_text('{"entries": ' + DEEP + '}')
+        proc = run_cli_process("mix", str(triangle_file), str(strat))
+        assert_one_line_error(proc)
+        assert proc.stderr.startswith(f"error: {strat}: not valid JSON: maximum recursion")
 
     @pytest.mark.parametrize("prob", [[1], {"p": 1}, None, True, "1"],
                              ids=["array", "object", "null", "bool", "string"])
@@ -438,6 +529,22 @@ class TestBench:
 
     def test_missing_corpus_exits_2(self, tmp_path):
         assert main(["bench", str(tmp_path / "nowhere")]) == 2
+
+    def test_report_that_cannot_be_written_leaves_no_csv(self, tmp_path, triangle_file,
+                                                         monkeypatch, capsys):
+        def infinite_ratio(inst):
+            res = plan(inst)
+            return dataclasses.replace(
+                res, diagnostics={**res.diagnostics, "envelope_ratio": math.inf})
+        monkeypatch.setattr(patrolsched.cli, "plan", infinite_ratio)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "triangle.json").write_bytes(triangle_file.read_bytes())
+        prefix = tmp_path / "b"
+        assert main(["bench", str(corpus), "--out", str(prefix)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not Path(f"{prefix}.csv").exists()
+        assert not Path(f"{prefix}.json").exists()
 
 
 def report_leaves(doc, path=()):

@@ -18,7 +18,8 @@ from patrolsched.instance import TRIANGLE_TOL
 from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _held_karp_table,
                                 _partitions_upto, _paths_to)
 from conftest import (random_instance, random_metric_instance, reference_held_karp,
-                      reference_incremental_lower_bound, reference_lower_bound)
+                      reference_incremental_lower_bound, reference_lower_bound,
+                      schedules_on_metrics)
 
 
 def permutation_tsp(inst, subset):
@@ -172,6 +173,35 @@ class TestBruteForceWeightedOpt:
     def test_rejects_period_shorter_than_n(self, unit_triangle):
         with pytest.raises(ValueError):
             brute_force_weighted_opt(unit_triangle, math.inf, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=schedules_on_metrics(max_n=5), p=st.sampled_from([2.0, 3.0, math.inf]),
+       extra=st.integers(0, 2))
+def test_value_is_the_witness_objective_exactly(case, p, extra):
+    """The oracle scores a candidate as ``weighted_objective`` does, bit for bit."""
+    inst, _ = case
+    res = brute_force_weighted_opt(inst, p, inst.n + extra)
+    assert res.value == weighted_objective(res.witness, inst, p)
+
+
+def equidistant(dist):
+    return make_instance(["a", "b", "c"], [1.0, 1.0, 1.0],
+                         [[0.0 if i == j else dist for j in range(3)] for i in range(3)])
+
+
+class TestBruteForceOverflow:
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    def test_every_period_overflowing_is_an_error(self, p):
+        with pytest.raises(ValueError, match="weighted objective overflows"):
+            brute_force_weighted_opt(equidistant(1e308), p, 5)
+
+    def test_overflowing_candidates_do_not_hide_finite_ones(self):
+        # three hops of 5e307 add up; a fourth overflows
+        inst = equidistant(5e307)
+        res = brute_force_weighted_opt(inst, math.inf, 5)
+        assert len(res.witness) == 3
+        assert res.value == weighted_objective(res.witness, inst, math.inf) < math.inf
 
 
 class TestPartitionOracle:

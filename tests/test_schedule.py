@@ -11,7 +11,7 @@ from patrolsched import (UNBOUNDED, Schedule, absence_profile, make_instance,
                          period_length, point_cost, point_costs,
                          schedule_from_document, schedule_to_document,
                          weighted_objective, worst_weighted)
-from patrolsched.schedule import _cost_of_gaps, _profiles
+from patrolsched.schedule import _cost_of_gaps, _hops, _profiles
 from conftest import random_instance, reference_profiles, schedules_on_metrics
 
 
@@ -159,9 +159,10 @@ class TestPointCosts:
 @given(case=schedules_on_metrics())
 def test_profile_kernel_matches_reference_bit_for_bit(case):
     inst, s = case
-    _, _, period = _profiles(s.visits, inst)
+    kernel, period = _profiles(s.visits, _hops(s, inst), inst.n)
     profiles, ref_period = reference_profiles(s.visits, inst.dist, inst.n)
     assert period == ref_period == period_length(s, inst)  # one summation
+    assert kernel == profiles
     assert [absence_profile(s, x, inst) for x in range(inst.n)] == profiles
     assert point_costs(s, inst, [2.0, 3.0, math.inf]) == [
         [_cost_of_gaps(g, p) for g in profiles] for p in (2.0, 3.0, math.inf)]
