@@ -43,9 +43,9 @@ import time
 from pathlib import Path
 from typing import Any
 
-from .instance import (GEOMETRIES, WEIGHT_LAWS, Instance, MetricViolationError,
-                       RandomSpec, generate_random, load_instance,
-                       serialize_instance)
+from .instance import (GEOMETRIES, WEIGHT_LAWS, Instance, MetricReport,
+                       MetricViolationError, RandomSpec, generate_random,
+                       load_instance, serialize_instance)
 from .mst import Tree
 from .oracle import (BRUTE_FORCE_MAX_POINTS, BRUTE_FORCE_MAX_PERIOD,
                      HELD_KARP_MAX, OracleResult, brute_force_weighted_opt,
@@ -177,19 +177,18 @@ def _tree_doc(tree: Tree, inst: Instance) -> dict[str, Any]:
 
 def _cmd_validate(args: argparse.Namespace) -> Outcome:
     data, ref = _read_instance_file(args.instance)
-    violations: list[dict[str, Any]] = []
     try:
-        n, ok = load_instance(data.decode()).n, True
+        report = MetricReport(n=load_instance(data.decode()).n, violations=(), counts={})
     except MetricViolationError as exc:
-        n, ok = exc.report.n, False
-        violations = [{"kind": v.kind, "where": list(v.where), "message": v.message}
-                      for v in exc.report.violations]
-    fields = {"instance": ref, "parameters": {},
-              "result": {"ok": ok, "n": n, "violations": violations}}
-    if ok:
-        return fields, f"{ref['path']}: OK ({n} points)", 0
-    return fields, (f"{ref['path']}: INVALID ({len(violations)} violations; "
-                    f"first: {violations[0]['message']})"), 1
+        report = exc.report
+    fields = {"instance": ref, "parameters": {}, "result": {
+        "ok": report.ok, "n": report.n, "counts": report.counts,
+        "violations": [{"kind": v.kind, "where": list(v.where), "message": v.message}
+                       for v in report.violations]}}
+    if report.ok:
+        return fields, f"{ref['path']}: OK ({report.n} points)", 0
+    return fields, (f"{ref['path']}: INVALID ({sum(report.counts.values())} violations; "
+                    f"first: {report.violations[0].message})"), 1
 
 
 def _cmd_gen(args: argparse.Namespace) -> Outcome:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -79,12 +79,19 @@ class MetricViolationError(ValueError):
 
 
 def validate_metric(dist: np.ndarray) -> MetricReport:
-    """Check symmetry, zero diagonal, positive off-diagonal, and triangles.
+    """Check finiteness, symmetry, zero diagonal, positive off-diagonal, and triangles.
 
     The triangle inequality is checked for every ordered triple with the
     relative tolerance ``TRIANGLE_TOL``: ``d[i,k] > (d[i,j] + d[j,k]) *
     (1 + TRIANGLE_TOL)`` counts as a violation.  The lower bound's pruning
-    margin assumes this tolerance for every instance.
+    margin assumes this tolerance for every instance.  A non-finite entry
+    skips the other checks.
+
+    Each kind is found as one boolean mask (the triangles as one mask per
+    middle point j) and counted exactly from it; only the first
+    ``_WITNESS_CAP`` hits of a kind, in row-major order, become witnesses.
+    So the work is whole-array steps plus at most ``_WITNESS_CAP`` formatted
+    messages per kind, however many entries violate.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -93,47 +100,40 @@ def validate_metric(dist: np.ndarray) -> MetricReport:
     violations: list[Violation] = []
     counts: dict[str, int] = {}
 
-    def add(kind: str, where: tuple[int, ...], message: str) -> None:
-        counts[kind] = counts.get(kind, 0) + 1
-        if counts[kind] <= _WITNESS_CAP:
-            violations.append(Violation(kind, where, message))
+    def record(kind: str, mask: np.ndarray,
+               describe: Callable[..., tuple[tuple[int, ...], str]]) -> None:
+        """Count ``mask``'s hits as ``kind``; ``describe(*index)`` gives the
+        (where, message) of a hit, asked only while the kind has room."""
+        held = counts.get(kind, 0)
+        counts[kind] = held + int(np.count_nonzero(mask))
+        if held < _WITNESS_CAP:
+            for index in np.argwhere(mask)[:_WITNESS_CAP - held].tolist():
+                violations.append(Violation(kind, *describe(*index)))
 
-    bad = ~np.isfinite(d)
-    for i, j in np.argwhere(bad):
-        add("nonfinite", (int(i), int(j)), f"dist[{i}][{j}] is not finite")
+    record("nonfinite", ~np.isfinite(d), lambda i, j: ((i, j), f"dist[{i}][{j}] is not finite"))
 
-    if not bad.any():
-        asym = np.argwhere(d != d.T)
-        for i, j in asym:
-            if i < j:
-                add("asymmetry", (int(i), int(j)),
-                    f"dist[{i}][{j}]={float(d[i, j])!r} != dist[{j}][{i}]={float(d[j, i])!r}")
-
-        for i in np.flatnonzero(np.diagonal(d) != 0.0):
-            add("diagonal", (int(i),), f"dist[{i}][{i}]={float(d[i, i])!r} must be 0")
-
-        off = d <= 0.0
-        np.fill_diagonal(off, False)
-        for i, j in np.argwhere(off):
-            if i < j:
-                add("offdiagonal", (int(i), int(j)),
-                    f"zero or negative distance {float(d[i, j])!r} between distinct points {i} and {j}")
+    if not counts["nonfinite"]:
+        record("asymmetry", np.triu(d != d.T, 1), lambda i, j: (
+            (i, j), f"dist[{i}][{j}]={float(d[i, j])!r} != dist[{j}][{i}]={float(d[j, i])!r}"))
+        record("diagonal", np.diagonal(d) != 0.0, lambda i: (
+            (i,), f"dist[{i}][{i}]={float(d[i, i])!r} must be 0"))
+        record("offdiagonal", np.triu(d <= 0.0, 1), lambda i, j: (
+            (i, j), f"zero or negative distance {float(d[i, j])!r} "
+                    f"between distinct points {i} and {j}"))
 
         # d[i,k] <= (d[i,j] + d[j,k]) * (1 + TRIANGLE_TOL) must hold for every j.
         # A sum past the largest double is inf, which no distance exceeds.
         limit = 1.0 + TRIANGLE_TOL
         with np.errstate(over="ignore"):
             for j in range(n):
-                lhs = d
-                rhs = (d[:, j][:, None] + d[j, :][None, :]) * limit
-                viol = lhs > rhs
+                viol = d > (d[:, j][:, None] + d[j, :][None, :]) * limit
                 if viol.any():
-                    for i, k in np.argwhere(viol):
-                        add("triangle", (int(i), int(j), int(k)),
-                            f"dist[{i}][{k}]={float(d[i, k])!r} exceeds "
-                            f"dist[{i}][{j}]+dist[{j}][{k}]={float(d[i, j] + d[j, k])!r}")
+                    record("triangle", viol, lambda i, k: (
+                        (i, j, k), f"dist[{i}][{k}]={float(d[i, k])!r} exceeds "
+                                   f"dist[{i}][{j}]+dist[{j}][{k}]={float(d[i, j] + d[j, k])!r}"))
 
-    return MetricReport(n=n, violations=tuple(violations), counts=counts)
+    return MetricReport(n=n, violations=tuple(violations),
+                        counts={kind: found for kind, found in counts.items() if found})
 
 
 @dataclass(frozen=True, eq=False)

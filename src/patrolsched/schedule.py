@@ -19,6 +19,7 @@ explicit value :data:`UNBOUNDED` (``math.inf``), never as an error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Sequence
@@ -146,6 +147,12 @@ def _validate_p(p: float) -> float:
 
 
 def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
+    """sum(l^p) / sum(l^(p-1)) over ``gaps``, the max gap for p = inf.
+
+    When sum(l^p) is not a normal float and some gap is positive, the powers
+    underflowed: the cost is taken on the gaps divided by the largest one
+    and multiplied back, so tiny distances never cost a silent 0.
+    """
     if gaps is None:
         return UNBOUNDED
     if math.isinf(p):
@@ -166,8 +173,9 @@ def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
     if math.isinf(num):  # a power, or the sum of the powers, passed the float range
         raise ValueError(f"absence cost at p={p:g} overflows: the absence lengths "
                          f"to the power p exceed the float range")
-    if den == 0.0:
-        return 0.0  # only when every gap is 0 (single-visit schedule)
+    if num < sys.float_info.min:  # every gap is 0 (a single visit), or the powers underflowed
+        top = max(gaps)
+        return 0.0 if top == 0.0 else _cost_of_gaps([g / top for g in gaps], p) * top
     return num / den
 
 

@@ -20,6 +20,7 @@ highest-probability tours.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any
@@ -105,6 +106,10 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
     the parabola vertex.  Every candidate is scored, in blocks of at most
     :data:`SCAN_BLOCK` pairs; ties resolve to the smallest duration.  A
     utility past the float range raises ValueError.
+
+    A best utility below the normal range may come from t * excess
+    underflowing at tiny distances: the gaps are then scored divided by the
+    period, and that answer, multiplied back, is taken if it is normal.
     """
     if period == 0.0:
         return 0.0, 0.0
@@ -130,6 +135,10 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
         i = int(np.argmax(u))
         if u[i] > best_u:
             best_t, best_u = float(t[i]), float(u[i])
+    if best_u < sys.float_info.min and period != 1.0:
+        t_unit, u_unit = _best_attack_on_gaps(ls / period, 1.0, weight)
+        if u_unit * period >= sys.float_info.min:
+            return t_unit * period, u_unit * period
     return best_t, best_u
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from patrolsched import (Instance, RandomSpec, Schedule, Tree, TreeCover,
                          generate_random, make_instance, minimum_spanning_tree)
+from patrolsched.instance import (_WITNESS_CAP, TRIANGLE_TOL, InstanceFormatError,
+                                  MetricReport, Violation)
 from patrolsched.mst import (_adjacency, _find, _normalize_subset, _spanning_forest,
                              _tree_from_edges)
 from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _grow_spanning_tree,
@@ -191,6 +193,67 @@ def reference_incremental_lower_bound(inst: Instance) -> float:
             covered = end
         best = max(best, float(ranked[end - 1]) * cost)
     return float(best)
+
+
+def reference_validate_metric(dist: np.ndarray) -> MetricReport:
+    """Check symmetry, zero diagonal, positive off-diagonal, and triangles.
+
+    Test-only reference for ``instance.validate_metric``: the per-violation
+    loops it replaced, one ``add`` call per violation found.
+
+    The triangle inequality is checked for every ordered triple with the
+    relative tolerance ``TRIANGLE_TOL``: ``d[i,k] > (d[i,j] + d[j,k]) *
+    (1 + TRIANGLE_TOL)`` counts as a violation.  The lower bound's pruning
+    margin assumes this tolerance for every instance.
+    """
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise InstanceFormatError(f"distance matrix must be square, got shape {d.shape}")
+    n = d.shape[0]
+    violations: list[Violation] = []
+    counts: dict[str, int] = {}
+
+    def add(kind: str, where: tuple[int, ...], message: str) -> None:
+        counts[kind] = counts.get(kind, 0) + 1
+        if counts[kind] <= _WITNESS_CAP:
+            violations.append(Violation(kind, where, message))
+
+    bad = ~np.isfinite(d)
+    for i, j in np.argwhere(bad):
+        add("nonfinite", (int(i), int(j)), f"dist[{i}][{j}] is not finite")
+
+    if not bad.any():
+        asym = np.argwhere(d != d.T)
+        for i, j in asym:
+            if i < j:
+                add("asymmetry", (int(i), int(j)),
+                    f"dist[{i}][{j}]={float(d[i, j])!r} != dist[{j}][{i}]={float(d[j, i])!r}")
+
+        for i in np.flatnonzero(np.diagonal(d) != 0.0):
+            add("diagonal", (int(i),), f"dist[{i}][{i}]={float(d[i, i])!r} must be 0")
+
+        off = d <= 0.0
+        np.fill_diagonal(off, False)
+        for i, j in np.argwhere(off):
+            if i < j:
+                add("offdiagonal", (int(i), int(j)),
+                    f"zero or negative distance {float(d[i, j])!r} between distinct points {i} and {j}")
+
+        # d[i,k] <= (d[i,j] + d[j,k]) * (1 + TRIANGLE_TOL) must hold for every j.
+        # A sum past the largest double is inf, which no distance exceeds.
+        limit = 1.0 + TRIANGLE_TOL
+        with np.errstate(over="ignore"):
+            for j in range(n):
+                lhs = d
+                rhs = (d[:, j][:, None] + d[j, :][None, :]) * limit
+                viol = lhs > rhs
+                if viol.any():
+                    for i, k in np.argwhere(viol):
+                        add("triangle", (int(i), int(j), int(k)),
+                            f"dist[{i}][{k}]={float(d[i, k])!r} exceeds "
+                            f"dist[{i}][{j}]+dist[{j}][{k}]={float(d[i, j] + d[j, k])!r}")
+
+    return MetricReport(n=n, violations=tuple(violations), counts=counts)
 
 
 def reference_profiles(visits, dist: np.ndarray, n: int) -> tuple[list[list[float] | None], float]:

@@ -104,6 +104,7 @@ class TestValidate:
         assert report["command"] == "validate"
         assert report["result"]["ok"] is True
         assert report["result"]["violations"] == []
+        assert report["result"]["counts"] == {}
         assert len(report["instance"]["sha256"]) == 64
 
     def test_triangle_violation_exits_1_with_witness(self, tmp_path):
@@ -119,6 +120,28 @@ class TestValidate:
         kinds = {v["kind"] for v in report["result"]["violations"]}
         assert kinds == {"triangle"}
         assert [0, 1, 2] in [v["where"] for v in report["result"]["violations"]]
+        assert report["result"]["counts"] == {"triangle": 2}
+
+    def test_exact_count_on_a_large_non_metric_in_seconds(self, tmp_path):
+        """3,778,570 violating triangles, counted without a Python step per
+        violation, so each command answers well within the subprocess's 10 s
+        timeout."""
+        upper = np.triu(np.random.default_rng(300).uniform(0.1, 2.0, size=(300, 300)), 1)
+        path = tmp_path / "random300.json"
+        path.write_text(json.dumps({
+            "labels": [f"p{i}" for i in range(300)], "weights": [1.0] * 300,
+            "metric": {"type": "explicit", "dist": (upper + upper.T).tolist()}}))
+        out = tmp_path / "report.json"
+        proc = run_cli_process("validate", str(path), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout.startswith(f"{path}: INVALID (3778570 violations; first: ")
+        assert proc.stdout.count("\n") == 1
+        result = read_json(out)["result"]
+        assert result["counts"] == {"triangle": 3778570}
+        assert len(result["violations"]) == 50
+        proc = run_cli_process("plan", str(path))
+        assert_one_line_error(proc)
+        assert proc.stderr.startswith("error: metric invalid (triangle: 3778570) e.g. ")
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
@@ -687,6 +710,34 @@ class TestExtremeScales:
         proc = run_cli_process(command, *inputs, "--out", str(tmp_path / "report.json"))
         assert_one_line_error(proc)
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("dist", [1e-170, 1e-300])
+    def test_tiny_distances_do_not_cost_a_silent_0(self, tmp_path, dist):
+        """The unit triangle's answers scaled down, where l^2 and t * excess underflow."""
+        path, _ = write_equidistant(tmp_path, dist, [1, 0.5, 0.5])
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"visits": ["p0", "p1", "p0", "p2"]}))
+        for command, *inputs in (("plan", path), ("eval", path, sched), ("attack", path, sched)):
+            out = tmp_path / f"{command}.json"
+            assert main([command, *map(str, inputs), "--out", str(out)]) == 0
+        plan_result = read_json(tmp_path / "plan.json")["result"]
+        assert plan_result["objective_2"] == plan_result["objective_inf"] == 2 * dist
+        per_p = read_json(tmp_path / "eval.json")["result"]["per_p"]
+        assert per_p["2"]["objective"] == per_p["inf"]["objective"] == 2 * dist
+        best = read_json(tmp_path / "attack.json")["result"]["best"]
+        assert (best["duration"], best["utility"]) == (dist, dist / 2)
+
+    @pytest.mark.parametrize("p", ["50", "200", "2000"])
+    def test_high_order_cost_at_small_distances(self, tmp_path, p):
+        """0.001 apart, l^200 and l^2000 underflow; every cost of `a b a c` is 0.004."""
+        path, _ = write_equidistant(tmp_path, 0.001, [1, 1, 1])
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"visits": ["p0", "p1", "p0", "p2"]}))
+        out = tmp_path / "eval.json"
+        assert main(["eval", str(path), str(sched), "--p", p, "--out", str(out)]) == 0
+        assert read_json(out)["result"]["per_p"][p]["objective"] == 0.004
+        assert main(["oracle-opt", str(path), "--p", p, "--out", str(out)]) == 0
+        assert read_json(out)["result"]["value"] == 0.003
 
     @pytest.mark.parametrize("dist, weights", [
         (5e-324, [1, 1, 1]),           # the smallest subnormal: one cover at the MST cost

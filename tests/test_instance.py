@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,19 +14,30 @@ from patrolsched import (GEOMETRIES, WEIGHT_LAWS, InstanceFormatError,
                          RandomSpec, generate_random, instance_from_document,
                          load_instance, make_instance, serialize_instance,
                          validate_metric)
-from conftest import random_instance
+from patrolsched.instance import _shortest_path_closure
+from conftest import random_instance, reference_validate_metric
+
+
+def validated(d: np.ndarray):
+    """``validate_metric(d)``, checked equal to the per-violation reference:
+    kinds, witnesses in order, messages, exact counts in order, summary."""
+    report, expected = validate_metric(d), reference_validate_metric(d)
+    assert report == expected
+    assert list(report.counts.items()) == list(expected.counts.items())
+    assert str(report) == str(expected)
+    return report
 
 
 class TestValidateMetric:
     def test_valid_metric_passes(self):
         d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        report = validate_metric(d)
+        report = validated(d)
         assert report.ok
         assert report.violations == ()
 
     def test_triangle_violation_reports_witness_triple(self):
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        report = validate_metric(d)
+        report = validated(d)
         assert not report.ok
         kinds = {v.kind for v in report.violations}
         assert kinds == {"triangle"}
@@ -34,22 +46,22 @@ class TestValidateMetric:
 
     def test_asymmetry_detected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
-        report = validate_metric(d)
+        report = validated(d)
         assert any(v.kind == "asymmetry" for v in report.violations)
 
     def test_nonzero_diagonal_detected(self):
         d = np.array([[0.5, 1.0], [1.0, 0.0]])
-        report = validate_metric(d)
+        report = validated(d)
         assert any(v.kind == "diagonal" for v in report.violations)
 
     def test_nonpositive_offdiagonal_detected(self):
         d = np.array([[0.0, 0.0], [0.0, 0.0]])
-        report = validate_metric(d)
+        report = validated(d)
         assert any(v.kind == "offdiagonal" for v in report.violations)
 
     def test_nonfinite_detected(self):
         d = np.array([[0.0, np.inf], [np.inf, 0.0]])
-        report = validate_metric(d)
+        report = validated(d)
         assert any(v.kind == "nonfinite" for v in report.violations)
 
     def test_tolerance_allows_float_slack(self):
@@ -57,19 +69,49 @@ class TestValidateMetric:
         d = np.array([[0.0, 1.0, 2.0 * (1.0 + 1e-12)],
                       [1.0, 0.0, 1.0],
                       [2.0 * (1.0 + 1e-12), 1.0, 0.0]])
-        assert validate_metric(d).ok
+        assert validated(d).ok
 
     def test_violation_counts_exact_even_when_witnesses_capped(self):
         n = 60
         d = np.full((n, n), 10.0)
         np.fill_diagonal(d, 0.0)
         d[0, 1] = d[1, 0] = 100.0  # every 2-hop detour beats the direct edge
-        report = validate_metric(d)
+        report = validated(d)
         assert not report.ok
         # (0, j, 1) and (1, j, 0) violate for every detour point j
         assert report.counts["triangle"] == 2 * (n - 2)
         tri_witnesses = [v for v in report.violations if v.kind == "triangle"]
         assert len(tri_witnesses) == 50  # witness list capped, counts exact
+
+
+@st.composite
+def planted_matrices(draw):
+    """Square matrices of up to 40 points that break the metric axioms.
+
+    Random symmetric costs (mostly non-metric) or their shortest-path
+    closure (a metric), scaled from the subnormal range up to near the
+    largest double, with planted asymmetric, diagonal, zero, negative and
+    non-finite entries.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = rng.uniform(0.1, 2.0, size=(n, n))
+    d = np.triu(raw, 1) + np.triu(raw, 1).T
+    if draw(st.booleans()):
+        d = _shortest_path_closure(d)
+    d = d * draw(st.sampled_from([1.0, 1e-3, 1e-310, 5e-324, 1e300, 4e307]))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x = float(d[i, j])
+        d[i, j] = draw(st.sampled_from([x * 1.5, x * 0.5, 0.25, 0.0, -1.0,
+                                        math.nan, math.inf, -math.inf, 1.7e308]))
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=planted_matrices())
+def test_report_equals_the_per_violation_reference(d):
+    validated(d)
 
 
 class TestMakeInstance:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patrolsched import (UNBOUNDED, Schedule, absence_profile, make_instance,
@@ -220,6 +220,30 @@ def test_point_cost_nondecreasing_in_p(seed, visits):
         costs = [point_cost(s, x, inst, p) for p in ps]
         for lo, hi in zip(costs, costs[1:]):
             assert lo <= hi * (1 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 999), visits=visit_sequences(5),
+       scale=st.sampled_from([1.0, 1e-3, 1e-170, 1e-300]))
+def test_point_cost_nondecreasing_in_p_at_every_distance_scale(seed, visits, scale):
+    """Rescaled to a period of ``scale``, so no gap exceeds it and l^2000
+    cannot overflow; l^p underflows at small scales and high p, and every
+    cost must still be positive, nondecreasing in p, and ``scale`` times
+    the cost at period 1."""
+    base = random_instance(seed, 5)
+    s = Schedule(visits)
+    period = period_length(s, base)
+    assume(period > 0.0)
+    unit = make_instance(base.labels, base.weights, base.dist / period)
+    inst = make_instance(base.labels, base.weights, base.dist * (scale / period))
+    ps = [2.0, 3.0, 50.0, 200.0, 2000.0, math.inf]
+    for x in set(s.visits):
+        costs = [point_cost(s, x, inst, p) for p in ps]
+        assert costs[0] > 0.0
+        for lo, hi in zip(costs, costs[1:]):
+            assert lo <= hi * (1 + 1e-12)
+        for p, cost in zip(ps, costs):
+            assert cost == pytest.approx(scale * point_cost(s, x, unit, p), rel=1e-9)
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patrolsched import (AttackOutcome, MixedStrategy, Schedule, UNBOUNDED, absence_profile,
@@ -140,6 +140,25 @@ def test_best_attack_bracketed_by_quadratic_cost(seed, visits):
         w = float(inst.weights[x])
         c2 = point_cost(s, x, inst, 2.0)
         assert w * c2 / 8.0 <= outcome.utility * (1 + 1e-9)
+        assert outcome.utility <= w * c2 / 2.0 * (1 + 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 999),
+       visits=st.lists(st.integers(0, 5), min_size=2, max_size=12).map(tuple),
+       scale=st.sampled_from([1e-170, 1e-300]))
+def test_best_attack_bracketed_by_quadratic_cost_at_tiny_scales(seed, visits, scale):
+    """t * excess and l^2 underflow here; neither side may become a silent 0."""
+    base = random_instance(seed, 6)
+    inst = make_instance(base.labels, base.weights, base.dist * scale)
+    s = Schedule(visits)
+    assume(len(s) > 1)
+    for x, outcome in enumerate(per_target_best(s, inst)):
+        if x not in set(s.visits):
+            continue
+        w = float(inst.weights[x])
+        c2 = point_cost(s, x, inst, 2.0)
+        assert 0.0 < w * c2 / 8.0 <= outcome.utility * (1 + 1e-9)
         assert outcome.utility <= w * c2 / 2.0 * (1 + 1e-9)
 
 
