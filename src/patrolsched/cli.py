@@ -69,13 +69,38 @@ _PLAN_FIELDS = ("objective_inf", "objective_2", "lower_bound", "envelope_ratio",
 # report plumbing
 
 
-def _write_json(doc: Any, path: str) -> None:
+def _write_json(doc: Any, path: str, what: str = "document") -> None:
     """Write a report or schedule document with sorted keys.
 
-    A NaN or infinite float raises ValueError before the file is opened.
+    A NaN or infinite float raises ValueError before the file is opened,
+    naming ``what`` and the first such field in key order.
     """
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        found = _nonfinite_field(doc, "")
+        if found is None:
+            raise
+        raise ValueError(f"{what} field {found[0]} is {found[1]!r}") from None
     Path(path).write_text(text + "\n")
+
+
+def _nonfinite_field(doc: Any, where: str) -> tuple[str, float] | None:
+    """The dotted path and value of ``doc``'s first NaN or infinite float,
+    in the sorted-key order ``json.dumps`` writes, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else (where, doc)
+    if isinstance(doc, dict):
+        items = ((f"{where}.{key}" if where else str(key), doc[key]) for key in sorted(doc))
+    elif isinstance(doc, list):
+        items = ((f"{where}[{i}]", value) for i, value in enumerate(doc))
+    else:
+        return None
+    for path, value in items:
+        found = _nonfinite_field(value, path)
+        if found is not None:
+            return found
+    return None
 
 
 def _unbounded(x: float) -> float | str:
@@ -91,7 +116,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.out is not None and args.report is not None:
             report = {"command": args.command, **fields,
                       "timings": {"total_s": time.perf_counter() - t0}}
-            _write_json(report, args.report.format(args.out))
+            _write_json(report, args.report.format(args.out), f"{args.command}: report")
         print(summary)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

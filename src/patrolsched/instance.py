@@ -19,6 +19,11 @@ import numpy as np
 # violation.
 TRIANGLE_TOL = 1e-9
 
+# Rows per tile of the triangle fast path (_some_triangle_violates): the
+# running minimum of a tile is _TRIANGLE_TILE x n doubles, small enough to stay
+# in cache while every middle point j passes over it.
+_TRIANGLE_TILE = 64
+
 # How many witnesses per violation kind a MetricReport keeps.  Counts are
 # always exact; only the witness lists are truncated.
 _WITNESS_CAP = 50
@@ -92,6 +97,11 @@ def validate_metric(dist: np.ndarray) -> MetricReport:
     ``_WITNESS_CAP`` hits of a kind, in row-major order, become witnesses.
     So the work is whole-array steps plus at most ``_WITNESS_CAP`` formatted
     messages per kind, however many entries violate.
+
+    A symmetric matrix first goes through :func:`_some_triangle_violates`,
+    which decides exactly, in cache-sized tiles, whether any triangle
+    violates.  Only an asymmetric matrix, or one with a violating triangle,
+    pays for the per-j scan that counts and formats them.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -123,17 +133,56 @@ def validate_metric(dist: np.ndarray) -> MetricReport:
 
         # d[i,k] <= (d[i,j] + d[j,k]) * (1 + TRIANGLE_TOL) must hold for every j.
         # A sum past the largest double is inf, which no distance exceeds.
-        limit = 1.0 + TRIANGLE_TOL
-        with np.errstate(over="ignore"):
-            for j in range(n):
-                viol = d > (d[:, j][:, None] + d[j, :][None, :]) * limit
-                if viol.any():
-                    record("triangle", viol, lambda i, k: (
-                        (i, j, k), f"dist[{i}][{k}]={float(d[i, k])!r} exceeds "
-                                   f"dist[{i}][{j}]+dist[{j}][{k}]={float(d[i, j] + d[j, k])!r}"))
+        if counts["asymmetry"] or _some_triangle_violates(d):
+            limit = 1.0 + TRIANGLE_TOL
+            with np.errstate(over="ignore"):
+                for j in range(n):
+                    viol = d > (d[:, j][:, None] + d[j, :][None, :]) * limit
+                    if viol.any():
+                        record("triangle", viol, lambda i, k: (
+                            (i, j, k), f"dist[{i}][{k}]={float(d[i, k])!r} exceeds "
+                                       f"dist[{i}][{j}]+dist[{j}][{k}]={float(d[i, j] + d[j, k])!r}"))
 
     return MetricReport(n=n, violations=tuple(violations),
                         counts={kind: found for kind, found in counts.items() if found})
+
+
+def _some_triangle_violates(d: np.ndarray) -> bool:
+    """Whether ``d[i,k] > (d[i,j] + d[j,k]) * (1 + TRIANGLE_TOL)`` for some (i, j, k).
+
+    ``d`` must be finite and exactly symmetric.  Rows are taken in tiles
+    i0 <= i < i1 of ``_TRIANGLE_TILE``; for each tile, ``m[i, k]`` is the
+    running minimum over j of ``d[i,j] + d[j,k]`` for the columns k >= i0,
+    compared once with ``d[i,k]``.  The first violating tile ends the search.
+    The answer is exactly whether the per-j scan in :func:`validate_metric`
+    finds a violation:
+
+    - Under exact symmetry (i, j, k) violates iff (k, j, i) does: ``d[k,i]``
+      is ``d[i,k]``, and ``d[k,j] + d[j,i]`` is ``d[j,k] + d[i,j]``, the same
+      double because float addition commutes.  A pair with k < i is checked
+      as (k, i) in k's tile, whose columns start at or before k, so the
+      columns k >= i0 suffice.
+    - Rounding ``x * (1 + TRIANGLE_TOL)`` is monotone in x, so the product
+      of the minimum is the minimum of the products: ``d[i,k]`` exceeds some
+      j's bound iff it exceeds the bound at the minimum.
+    - A sum that overflows is inf, as in the per-j scan, and no distance
+      exceeds it; finite entries make no NaN.
+    - Within a tile, column j (``d[i0:i1, j]``) is row j's slice
+      ``d[j, i0:i1]``, so every step reads contiguous rows.
+    """
+    n = d.shape[0]
+    limit = 1.0 + TRIANGLE_TOL
+    with np.errstate(over="ignore"):
+        for i0 in range(0, n, _TRIANGLE_TILE):
+            i1 = min(i0 + _TRIANGLE_TILE, n)
+            column, right = d[:, i0:i1, None], d[:, i0:]
+            m = column[0] + right[0]
+            step = np.empty_like(m)
+            for j in range(1, n):
+                np.minimum(m, np.add(column[j], right[j], out=step), out=m)
+            if (d[i0:i1, i0:] > m * limit).any():
+                return True
+    return False
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,7 +185,8 @@ def mix_tours(strategy: MixedStrategy, inst: Instance) -> Schedule:
     concatenates N_i copies of each, where N_i grows with the tour's
     probability and shrinks with its period, scaled so that block boundaries
     are negligible.  For every point the quadratic absence cost of the result
-    is at most 8 times the strategy's expected quadratic cost.
+    is at most 8 times the strategy's expected quadratic cost.  A lone kept
+    tour is emitted once: copies of one tour change no point's cost.
 
     Every supported schedule must visit every point.
     """
@@ -225,7 +226,7 @@ def mix_tours(strategy: MixedStrategy, inst: Instance) -> Schedule:
 
     visits: list[int] = []
     for (sched, prob), (_, period) in zip(kept, walks):
-        if period == 0.0:
+        if len(kept) == 1 or period == 0.0:
             copies = 1
         else:
             copies = math.ceil(scale * (prob / q) * (d_bar / period))

@@ -461,6 +461,26 @@ class TestMix:
                     + 0.25 * point_cost(Schedule((0, 2, 1)), x, unit_triangle, 2.0))
             assert point_cost(mixed, x, unit_triangle, 2.0) <= 8.0 * base * (1 + 1e-9)
 
+    def test_lone_tour_is_emitted_once(self, tmp_path, capsys):
+        """The one-entry strategy from an 8-point plan's 16-visit schedule: the
+        tour comes back as it is, with the schedule's own weighted C2."""
+        inst_path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"
+        assert main(["gen", "--n", "8", "--seed", "1", "--out", str(inst_path)]) == 0
+        assert main(["plan", str(inst_path), "--schedule-out", str(sched_path)]) == 0
+        strat = tmp_path / "strategy.json"
+        strat.write_text(json.dumps({"entries": [
+            {"schedule": read_json(sched_path), "prob": 1.0}]}))
+        capsys.readouterr()
+        out = tmp_path / "mix.json"
+        assert main(["mix", str(inst_path), str(strat), "--out", str(out)]) == 0
+        assert "collapsed to one tour with 16 visits" in capsys.readouterr().out
+        inst = load_instance(inst_path.read_text())
+        lone = Schedule(tuple(inst.index(l) for l in read_json(sched_path)["visits"]))
+        result = read_json(out)["result"]
+        assert result["visits"] == len(lone) == 16
+        assert result["schedule"] == read_json(sched_path)
+        assert result["objective_2"] == weighted_objective(lone, inst, 2.0)
+
     def test_bad_probabilities_exit_1(self, tmp_path, triangle_file):
         strat = tmp_path / "strategy.json"
         strat.write_text(json.dumps({"entries": [
@@ -600,6 +620,11 @@ class TestReportPolicy:
             _write_json({"result": {"value": value}}, str(path))
         assert not path.exists()
 
+    def test_non_finite_field_is_named_in_key_order(self, tmp_path):
+        doc = {"z": math.inf, "a": [{"b": 1.0}, {"c": [2.0, -math.inf]}]}
+        with pytest.raises(ValueError, match=r"^schedule field a\[1\]\.c\[1\] is -inf$"):
+            _write_json(doc, str(tmp_path / "doc.json"), "schedule")
+
     def test_unexpected_inf_is_an_error_not_unbounded(self, tmp_path, triangle_file,
                                                        monkeypatch, capsys):
         cover = minmax_tree_cover
@@ -611,8 +636,7 @@ class TestReportPolicy:
         assert main(["treecover", str(triangle_file), "--k", "2", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err == "error: treecover: report field result.budget is inf\n"
         assert not out.exists()
 
     def test_unbounded_only_where_a_point_goes_unvisited(self, tmp_path, triangle_file,

@@ -14,7 +14,8 @@ from patrolsched import (GEOMETRIES, WEIGHT_LAWS, InstanceFormatError,
                          RandomSpec, generate_random, instance_from_document,
                          load_instance, make_instance, serialize_instance,
                          validate_metric)
-from patrolsched.instance import _shortest_path_closure
+from patrolsched.instance import (_TRIANGLE_TILE, _shortest_path_closure,
+                                  _some_triangle_violates)
 from conftest import random_instance, reference_validate_metric
 
 
@@ -112,6 +113,73 @@ def planted_matrices(draw):
 @given(d=planted_matrices())
 def test_report_equals_the_per_violation_reference(d):
     validated(d)
+
+
+_SCALES = [1.0, 1e-3, 1e-310, 5e-324, 1e300, 4e307]
+
+
+@st.composite
+def tiled_matrices(draw):
+    """Metrics of up to 200 points, so up to four row tiles of the triangle
+    fast path, with symmetric triangle violations planted.
+
+    The shortest-path closure of random symmetric costs, on the scale ladder
+    of ``planted_matrices``.  Each planted pair ``d[i,k] = d[k,i]`` has i in
+    tile a and k in tile b >= a: inside one tile, or across tile boundaries
+    (i < 64 <= 128 <= k when a = 0 and b = 2).  Raising an entry breaks the
+    triangles it closes, lowering one breaks the triangles it is a leg of;
+    1 + 1e-10 stays within ``TRIANGLE_TOL``.
+    """
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = rng.uniform(0.1, 2.0, size=(n, n))
+    d = _shortest_path_closure(np.triu(raw, 1) + np.triu(raw, 1).T)
+    d = d * draw(st.sampled_from(_SCALES))
+
+    def in_tile(t: int) -> int:
+        return draw(st.integers(t * _TRIANGLE_TILE, min((t + 1) * _TRIANGLE_TILE, n) - 1))
+
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, (n - 1) // _TRIANGLE_TILE))
+        i, k = in_tile(a), in_tile(draw(st.integers(a, (n - 1) // _TRIANGLE_TILE)))
+        factor = draw(st.sampled_from([1.5, 3.0, 1.0 + 1e-8, 1.0 + 1e-10, 0.5]))
+        d[i, k] = d[k, i] = d[i, k] * factor
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=tiled_matrices())
+def test_tiled_fast_path_decides_exactly_what_the_per_j_scan_finds(d):
+    report = validated(d)
+    if np.isfinite(d).all():
+        assert _some_triangle_violates(d) == ("triangle" in report.counts)
+
+
+@pytest.mark.parametrize("i, k", [(1, 2), (70, 100), (130, 190), (193, 198),
+                                  (5, 150), (70, 195), (129, 199)])
+def test_a_violation_in_any_tile_or_across_tiles_is_found(i, k):
+    """Exactly one planted pair on 200 points (tiles 0-63, 64-127, 128-191,
+    192-199), so only the tiles holding rows i or k can see it."""
+    raw = np.random.default_rng(11).uniform(0.1, 2.0, size=(200, 200))
+    d = _shortest_path_closure(np.triu(raw, 1) + np.triu(raw, 1).T)
+    assert not _some_triangle_violates(d)
+    d[i, k] = d[k, i] = 3.0 * d[i, k]
+    assert _some_triangle_violates(d)
+    assert validated(d).counts["triangle"] >= 2
+
+
+def test_asymmetric_matrix_with_triangle_violations_keeps_its_witnesses():
+    n = 200
+    raw = np.random.default_rng(7).uniform(0.1, 2.0, size=(n, n))
+    d = _shortest_path_closure(np.triu(raw, 1) + np.triu(raw, 1).T)
+    d[5, 150] = d[150, 5] = 3.0 * d[5, 150]  # across tiles: i < 64 <= 128 <= k
+    d[70, 90] = 2.0 * d[70, 90]  # asymmetric, inside the second tile
+    report = validated(d)
+    assert report.counts["asymmetry"] == 1
+    assert report.counts["triangle"] > 2 * (n - 2)
+    witnesses = [v.where for v in report.violations if v.kind == "triangle"]
+    assert len(witnesses) == 50
+    assert witnesses[0][0] == 5  # row-major over the first violating j
 
 
 class TestMakeInstance:

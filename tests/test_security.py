@@ -258,6 +258,11 @@ class TestMixTours:
             assert point_cost(mixed, x, unit_triangle, 2.0) == pytest.approx(
                 point_cost(Schedule((0, 1, 2)), x, unit_triangle, 2.0), rel=1e-12)
 
+    def test_lone_kept_tour_is_emitted_once(self, unit_triangle):
+        s1, s2 = Schedule((0, 1, 0, 2)), Schedule((0, 2, 1))
+        for strat in (MixedStrategy(((s1, 1.0),)), MixedStrategy(((s2, 0.4), (s1, 0.6)))):
+            assert mix_tours(strat, unit_triangle).visits == s1.visits
+
     def test_unit_triangle_two_tours(self, unit_triangle):
         s1, s2 = Schedule((0, 1, 2)), Schedule((0, 2, 1))
         strat = MixedStrategy(((s1, 0.75), (s2, 0.25)))
