@@ -21,14 +21,15 @@ inputs, calls the library and returns its report fields, a short human
 summary and its exit code; the runner times it, adds ``command`` and
 ``timings``, writes the JSON run report when ``--out`` is given, prints the
 summary, and maps errors to exit codes with a one-line ``error:`` message.
-Reports are deterministic for fixed inputs, flags, and seeds: keys are
-sorted, the SHA-256 of the instance file's bytes is embedded, and wall-clock
-measurements live under a separate top-level ``"timings"`` key so
-out-of-band variation never touches result fields.  A point the schedule
-never visits costs ``"unbounded"``; only ``eval``'s ``objective`` and
-``point_costs`` and ``attack``'s ``duration`` and ``utility`` (``best`` and
-``per_target``) hold that string.  Any other non-finite value fails the
-command with an ``error:`` line, and no report is written.
+Every document the CLI writes is one line of JSON with sorted keys.
+Reports are deterministic for fixed inputs, flags, and seeds: the SHA-256
+of the instance file's bytes is embedded, and wall-clock measurements live
+under a separate top-level ``"timings"`` key so out-of-band variation never
+touches result fields.  A point the schedule never visits costs
+``"unbounded"``; only ``eval``'s ``objective`` and ``point_costs`` and
+``attack``'s ``duration`` and ``utility`` (``best`` and ``per_target``) hold
+that string.  Any other non-finite value fails the command with an
+``error:`` line, and no report is written.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import json
 import math
 import sys
 import time
@@ -44,8 +44,8 @@ from pathlib import Path
 from typing import Any
 
 from .instance import (GEOMETRIES, WEIGHT_LAWS, Instance, MetricReport,
-                       MetricViolationError, RandomSpec, generate_random,
-                       load_instance, serialize_instance)
+                       MetricViolationError, RandomSpec, dumps, generate_random,
+                       load_instance, loads, serialize_instance)
 from .mst import Tree
 from .oracle import (BRUTE_FORCE_MAX_POINTS, BRUTE_FORCE_MAX_PERIOD,
                      HELD_KARP_MAX, OracleResult, brute_force_weighted_opt,
@@ -70,37 +70,9 @@ _PLAN_FIELDS = ("objective_inf", "objective_2", "lower_bound", "envelope_ratio",
 
 
 def _write_json(doc: Any, path: str, what: str = "document") -> None:
-    """Write a report or schedule document with sorted keys.
-
-    A NaN or infinite float raises ValueError before the file is opened,
-    naming ``what`` and the first such field in key order.
-    """
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        found = _nonfinite_field(doc, "")
-        if found is None:
-            raise
-        raise ValueError(f"{what} field {found[0]} is {found[1]!r}") from None
-    Path(path).write_text(text + "\n")
-
-
-def _nonfinite_field(doc: Any, where: str) -> tuple[str, float] | None:
-    """The dotted path and value of ``doc``'s first NaN or infinite float,
-    in the sorted-key order ``json.dumps`` writes, or None."""
-    if isinstance(doc, float):
-        return None if math.isfinite(doc) else (where, doc)
-    if isinstance(doc, dict):
-        items = ((f"{where}.{key}" if where else str(key), doc[key]) for key in sorted(doc))
-    elif isinstance(doc, list):
-        items = ((f"{where}[{i}]", value) for i, value in enumerate(doc))
-    else:
-        return None
-    for path, value in items:
-        found = _nonfinite_field(value, path)
-        if found is not None:
-            return found
-    return None
+    """Write a report or schedule document through :func:`dumps`, which
+    refuses a NaN or infinite float before the file is opened."""
+    Path(path).write_text(dumps(doc, what) + "\n")
 
 
 def _unbounded(x: float) -> float | str:
@@ -131,10 +103,7 @@ def _fmt(x: float) -> str:
 
 
 def _read_json(path: str) -> Any:
-    try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep: RecursionError
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    return loads(Path(path).read_text(), path)
 
 
 def _read_instance_file(path: str | Path) -> tuple[bytes, dict[str, Any]]:
@@ -145,7 +114,7 @@ def _read_instance_file(path: str | Path) -> tuple[bytes, dict[str, Any]]:
 
 def _load_instance_file(path: str) -> tuple[Instance, dict[str, Any]]:
     data, ref = _read_instance_file(path)
-    return load_instance(data.decode()), ref
+    return load_instance(data.decode(), ref["path"]), ref
 
 
 def _parse_p(text: str) -> float:
@@ -203,7 +172,8 @@ def _tree_doc(tree: Tree, inst: Instance) -> dict[str, Any]:
 def _cmd_validate(args: argparse.Namespace) -> Outcome:
     data, ref = _read_instance_file(args.instance)
     try:
-        report = MetricReport(n=load_instance(data.decode()).n, violations=(), counts={})
+        n = load_instance(data.decode(), ref["path"]).n
+        report = MetricReport(n=n, violations=(), counts={})
     except MetricViolationError as exc:
         report = exc.report
     fields = {"instance": ref, "parameters": {}, "result": {
@@ -391,7 +361,7 @@ def _bench_row(path: Path) -> dict[str, Any]:
     try:
         data, ref = _read_instance_file(path)
         row["sha256"] = ref["sha256"]
-        inst = load_instance(data.decode())
+        inst = load_instance(data.decode(), ref["path"])
         res = plan(inst)
         diag = res.diagnostics
         row.update({
@@ -432,8 +402,10 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
         "max_envelope_ratio": max(ratios) if ratios else None,
         "all_envelopes_ok": all(r["envelope_ok"] for r in ok),
     }
+    fields = {"corpus": {"path": str(corpus), "files": len(rows)}, "parameters": {},
+              "result": {"summary": summary, "rows": rows}}
     if args.out is not None:
-        json.dumps(rows, allow_nan=False)  # a row the report cannot hold fails before the CSV
+        dumps(fields, f"{args.command}: report")  # a report that cannot be written fails first
         with open(f"{args.out}.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS)
             writer.writeheader()
@@ -441,11 +413,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
 
     ratio_txt = (_fmt(summary["max_envelope_ratio"])
                  if summary["max_envelope_ratio"] is not None else "n/a")
-    return {
-        "corpus": {"path": str(corpus), "files": len(rows)},
-        "parameters": {},
-        "result": {"summary": summary, "rows": rows},
-    }, (f"bench: {summary['instances']} instances, {summary['ok']} ok, "
+    return fields, (f"bench: {summary['instances']} instances, {summary['ok']} ok, "
         f"{summary['failed']} failed, max envelope ratio {ratio_txt}, "
         f"envelopes {'all ok' if summary['all_envelopes_ok'] else 'VIOLATED'}"), 0
 

@@ -8,8 +8,9 @@ triangle inequality up to a small relative tolerance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +34,8 @@ WEIGHT_LAWS = ("equal", "uniform", "pareto")
 
 
 class InstanceFormatError(ValueError):
-    """An instance document is malformed (missing keys, bad shapes, ...)."""
+    """An instance document is malformed (missing keys, bad shapes, ...), or a
+    document of any kind is not JSON (:func:`loads`)."""
 
 
 class NonpositiveWeightError(ValueError):
@@ -217,9 +219,8 @@ class Instance:
     def to_document(self) -> dict[str, Any]:
         return {
             "labels": list(self.labels),
-            "weights": [float(w) for w in self.weights],
-            "metric": {"type": "explicit",
-                       "dist": [[float(x) for x in row] for row in self.dist]},
+            "weights": self.weights.tolist(),
+            "metric": {"type": "explicit", "dist": self.dist.tolist()},
         }
 
 
@@ -311,18 +312,55 @@ def instance_from_document(doc: Any) -> Instance:
     return make_instance(labels, weights, dist)
 
 
-def load_instance(text: str) -> Instance:
-    """Parse an instance JSON document from a string."""
+def loads(text: str, what: str) -> Any:
+    """Parse one JSON document of any kind (instance, schedule, strategy).
+
+    Malformed or too deeply nested text raises InstanceFormatError naming
+    ``what``.
+    """
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:  # nested too deep: RecursionError
-        raise InstanceFormatError(f"invalid JSON: {e}") from None
-    return instance_from_document(doc)
+        raise InstanceFormatError(f"{what}: not valid JSON: {e}") from None
+
+
+def dumps(doc: Any, what: str) -> str:
+    """``doc`` as one line of JSON with sorted keys.
+
+    A NaN or infinite float raises ValueError naming ``what`` and the
+    first such field in key order.
+    """
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        found = next(_nonfinite_fields(doc, ""), None)
+        if found is None:
+            raise
+        raise ValueError(f"{what} field {found[0]} is {found[1]!r}") from None
+
+
+def _nonfinite_fields(doc: Any, where: str) -> Iterator[tuple[str, float]]:
+    """The dotted path and value of every NaN or infinite float in ``doc``,
+    in the sorted-key order :func:`dumps` writes."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        yield where, doc
+    elif isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from _nonfinite_fields(doc[key], f"{where}.{key}" if where else str(key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nonfinite_fields(value, f"{where}[{i}]")
+
+
+def load_instance(text: str, what: str = "instance") -> Instance:
+    """Parse an instance JSON document from a string; ``what`` names it in
+    a parse error."""
+    return instance_from_document(loads(text, what))
 
 
 def serialize_instance(inst: Instance) -> str:
     """Serialize to JSON such that load/serialize round-trips exactly."""
-    return json.dumps(inst.to_document(), indent=2, sort_keys=True)
+    return dumps(inst.to_document(), "instance")
 
 
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:

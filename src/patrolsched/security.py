@@ -109,7 +109,11 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
 
     A best utility below the normal range may come from t * excess
     underflowing at tiny distances: the gaps are then scored divided by the
-    period, and that answer, multiplied back, is taken if it is normal.
+    period, and that answer, multiplied back, is taken if it is normal, or
+    if the weight is normal and the direct best utility is exactly 0 (a
+    positive gap always scores above 0 unless it underflowed, and with no
+    positive gap both answers are 0).  A subnormal weight keeps the direct
+    answer.
     """
     if period == 0.0:
         return 0.0, 0.0
@@ -137,7 +141,7 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
             best_t, best_u = float(t[i]), float(u[i])
     if best_u < sys.float_info.min and period != 1.0:
         t_unit, u_unit = _best_attack_on_gaps(ls / period, 1.0, weight)
-        if u_unit * period >= sys.float_info.min:
+        if u_unit * period >= sys.float_info.min or (best_u == 0.0 and weight >= sys.float_info.min):
             return t_unit * period, u_unit * period
     return best_t, best_u
 

@@ -190,7 +190,8 @@ class TestValidate:
         for command in ("validate", "plan"):
             proc = run_cli_process(command, str(path))
             assert_one_line_error(proc)
-            assert proc.stderr.startswith("error: invalid JSON: maximum recursion depth")
+            assert proc.stderr.startswith(
+                f"error: {path}: not valid JSON: maximum recursion depth")
 
     def test_negative_weight_message_prints_the_value(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -229,7 +230,9 @@ class TestInstanceDigest:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         path = corpus / "crlf.json"
-        path.write_bytes(serialize_instance(unit_triangle).replace("\n", "\r\n").encode())
+        text = json.dumps(unit_triangle.to_document(), indent=2)
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert b"\r\n" in path.read_bytes()
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         for command in ("validate", "plan"):
             out = tmp_path / f"{command}.json"
@@ -585,7 +588,8 @@ class TestBench:
         (corpus / "triangle.json").write_bytes(triangle_file.read_bytes())
         prefix = tmp_path / "b"
         assert main(["bench", str(corpus), "--out", str(prefix)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == ("error: bench: report field "
+                                           "result.rows[0].envelope_ratio is inf\n")
         assert not Path(f"{prefix}.csv").exists()
         assert not Path(f"{prefix}.json").exists()
 
@@ -638,6 +642,32 @@ class TestReportPolicy:
         assert captured.out == ""
         assert captured.err == "error: treecover: report field result.budget is inf\n"
         assert not out.exists()
+
+    def test_every_written_document_is_one_line_of_sorted_key_json(
+            self, tmp_path, triangle_file, triangle_schedule_file, capsys):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"entries": [
+            {"schedule": {"visits": ["a", "b", "c"]}, "prob": 1.0}]}))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        tri, sched = str(triangle_file), str(triangle_schedule_file)
+        runs = [["gen", "--n", "5", "--out", str(corpus / "gen.json")],
+                ["plan", tri, "--out", str(tmp_path / "plan.json"),
+                 "--schedule-out", str(tmp_path / "plan-sched.json")],
+                ["eval", tri, sched, "--out", str(tmp_path / "eval.json")],
+                ["attack", tri, sched, "--out", str(tmp_path / "attack.json")],
+                ["mix", tri, str(strategy), "--out", str(tmp_path / "mix.json"),
+                 "--schedule-out", str(tmp_path / "mix-sched.json")],
+                ["bench", str(corpus), "--out", str(tmp_path / "bench")]]
+        for argv in runs:
+            assert main(argv) == 0, argv
+        assert main(["gen", "--n", "5"]) == 0
+        written = [capsys.readouterr().out.splitlines()[-1] + "\n"]
+        written += [path.read_text() for path in sorted(tmp_path.glob("**/*.json"))
+                    if path not in (triangle_file, triangle_schedule_file, strategy)]
+        assert len(written) == 9
+        for text in written:
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_unbounded_only_where_a_point_goes_unvisited(self, tmp_path, triangle_file,
                                                          triangle_schedule_file):
@@ -750,6 +780,21 @@ class TestExtremeScales:
         assert per_p["2"]["objective"] == per_p["inf"]["objective"] == 2 * dist
         best = read_json(tmp_path / "attack.json")["result"]["best"]
         assert (best["duration"], best["utility"]) == (dist, dist / 2)
+
+    @pytest.mark.parametrize("dist, weights, best", [
+        (1e-320, [1, 0.5, 0.5], ("p0", 1e-320, 5e-321)),
+        (5e-324, [1, 1, 1], ("p1", 1e-323, 5e-324)),
+    ], ids=["subnormal", "smallest-subnormal"])
+    def test_attack_utility_that_is_itself_subnormal(self, tmp_path, dist, weights, best):
+        """The best utility of `a b a c` is a subnormal number: duration and
+        utility are read at their rounded values, not as a silent 0."""
+        path, _ = write_equidistant(tmp_path, dist, weights)
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"visits": ["p0", "p1", "p0", "p2"]}))
+        out = tmp_path / "attack.json"
+        assert main(["attack", str(path), str(sched), "--out", str(out)]) == 0
+        got = read_json(out)["result"]["best"]
+        assert (got["target"], got["duration"], got["utility"]) == best
 
     @pytest.mark.parametrize("p", ["50", "200", "2000"])
     def test_high_order_cost_at_small_distances(self, tmp_path, p):

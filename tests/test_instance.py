@@ -15,7 +15,7 @@ from patrolsched import (GEOMETRIES, WEIGHT_LAWS, InstanceFormatError,
                          load_instance, make_instance, serialize_instance,
                          validate_metric)
 from patrolsched.instance import (_TRIANGLE_TILE, _shortest_path_closure,
-                                  _some_triangle_violates)
+                                  _some_triangle_violates, dumps, loads)
 from conftest import random_instance, reference_validate_metric
 
 
@@ -234,6 +234,19 @@ class TestDocuments:
     def test_bad_json_raises_format_error(self):
         with pytest.raises(InstanceFormatError):
             load_instance("{not json")
+
+    def test_one_line_of_sorted_key_json(self, unit_triangle):
+        text = serialize_instance(unit_triangle)
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+        assert "\n" not in text
+
+    def test_codec_errors_name_the_document(self):
+        with pytest.raises(InstanceFormatError, match=r"^instance: not valid JSON: "):
+            load_instance("{not json")
+        with pytest.raises(InstanceFormatError, match=r"^x\.json: not valid JSON: maximum "):
+            loads("[" * 100_000 + "]" * 100_000, "x.json")
+        with pytest.raises(ValueError, match=r"^report field a\[0\] is nan$"):
+            dumps({"b": 1.0, "a": [math.nan]}, "report")
 
     def test_missing_field_raises_format_error(self):
         with pytest.raises(InstanceFormatError):
