@@ -90,7 +90,7 @@ def _run(args: argparse.Namespace) -> int:
                       "timings": {"total_s": time.perf_counter() - t0}}
             _write_json(report, args.report.format(args.out), f"{args.command}: report")
         print(summary)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
     return code
@@ -103,7 +103,7 @@ def _fmt(x: float) -> str:
 
 
 def _read_json(path: str) -> Any:
-    return loads(Path(path).read_text(), path)
+    return loads(Path(path).read_bytes(), path)
 
 
 def _read_instance_file(path: str | Path) -> tuple[bytes, dict[str, Any]]:
@@ -114,12 +114,10 @@ def _read_instance_file(path: str | Path) -> tuple[bytes, dict[str, Any]]:
 
 def _load_instance_file(path: str) -> tuple[Instance, dict[str, Any]]:
     data, ref = _read_instance_file(path)
-    return load_instance(data.decode(), ref["path"]), ref
+    return load_instance(data, ref["path"]), ref
 
 
 def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
     try:
         value = float(text)
     except ValueError:
@@ -127,10 +125,6 @@ def _parse_p(text: str) -> float:
     if math.isnan(value) or value < 2.0:
         raise ValueError(f"--p must be 'inf' or a number >= 2, got {text!r}")
     return value
-
-
-def _p_key(p: float) -> str:
-    return "inf" if math.isinf(p) else format(p, "g")
 
 
 def _parse_subset(inst: Instance, text: str | None) -> list[int] | None:
@@ -172,7 +166,7 @@ def _tree_doc(tree: Tree, inst: Instance) -> dict[str, Any]:
 def _cmd_validate(args: argparse.Namespace) -> Outcome:
     data, ref = _read_instance_file(args.instance)
     try:
-        n = load_instance(data.decode(), ref["path"]).n
+        n = load_instance(data, ref["path"]).n
         report = MetricReport(n=n, violations=(), counts={})
     except MetricViolationError as exc:
         report = exc.report
@@ -243,7 +237,7 @@ def _cmd_eval(args: argparse.Namespace) -> Outcome:
     inst, ref = _load_instance_file(args.instance)
     sched = schedule_from_document(_read_json(args.schedule), inst)
     ps = [_parse_p(t) for t in (args.p or ["2", "inf"])]
-    keys = [_p_key(p) for p in ps]
+    keys = [format(p, "g") for p in ps]
     costs = dict(zip(keys, point_costs(sched, inst, ps)))
     objectives = {key: worst_weighted(c, inst) for key, c in costs.items()}
     per_p = {key: {"objective": _unbounded(objectives[key]),
@@ -277,10 +271,10 @@ def _cmd_oracle_opt(args: argparse.Namespace) -> Outcome:
     res = brute_force_weighted_opt(inst, p, max_period)
     return {
         "instance": ref,
-        "parameters": {"p": _p_key(p), "max_period": max_period},
+        "parameters": {"p": format(p, "g"), "max_period": max_period},
         "result": _oracle_doc(res, schedule_to_document(res.witness, inst)),
     }, (f"oracle-opt: best weighted objective {_fmt(res.value)} "
-        f"at p={_p_key(p)}, periods up to {max_period} visits "
+        f"at p={p:g}, periods up to {max_period} visits "
         f"(upper bound on the unrestricted optimum)"), 0
 
 
@@ -361,7 +355,7 @@ def _bench_row(path: Path) -> dict[str, Any]:
     try:
         data, ref = _read_instance_file(path)
         row["sha256"] = ref["sha256"]
-        inst = load_instance(data.decode(), ref["path"])
+        inst = load_instance(data, ref["path"])
         res = plan(inst)
         diag = res.diagnostics
         row.update({

@@ -306,21 +306,26 @@ def instance_from_document(doc: Any) -> Instance:
         if coords.ndim != 2 or coords.shape[0] != len(labels):
             raise InstanceFormatError(
                 f"expected {len(labels)} coordinate pairs, got shape {coords.shape}")
-        dist = _euclidean_matrix(coords)
+        # An infinite coordinate, or a square past the float range, gives a
+        # distance that is not finite; validate_metric reports it, numpy need not.
+        with np.errstate(invalid="ignore", over="ignore"):
+            dist = _euclidean_matrix(coords)
     else:
         raise InstanceFormatError(f"unknown metric type {kind!r}")
     return make_instance(labels, weights, dist)
 
 
-def loads(text: str, what: str) -> Any:
+def loads(data: bytes | str, what: str) -> Any:
     """Parse one JSON document of any kind (instance, schedule, strategy).
 
-    Malformed or too deeply nested text raises InstanceFormatError naming
-    ``what``.
+    ``data`` is a file's bytes, decoded as strict UTF-8 (json's UTF-16/32
+    detection is not used), or already decoded text.  Bytes that are not
+    UTF-8, malformed or too deeply nested JSON, and an integer too long
+    for Python to read raise InstanceFormatError naming ``what``.
     """
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # nested too deep: RecursionError
+        return json.loads(data.decode() if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as e:  # nested too deep: RecursionError
         raise InstanceFormatError(f"{what}: not valid JSON: {e}") from None
 
 
@@ -352,10 +357,10 @@ def _nonfinite_fields(doc: Any, where: str) -> Iterator[tuple[str, float]]:
             yield from _nonfinite_fields(value, f"{where}[{i}]")
 
 
-def load_instance(text: str, what: str = "instance") -> Instance:
-    """Parse an instance JSON document from a string; ``what`` names it in
-    a parse error."""
-    return instance_from_document(loads(text, what))
+def load_instance(data: bytes | str, what: str = "instance") -> Instance:
+    """Parse an instance JSON document from a file's bytes or a string
+    (see :func:`loads`); ``what`` names it in a parse error."""
+    return instance_from_document(loads(data, what))
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -19,6 +19,7 @@ explicit value :data:`UNBOUNDED` (``math.inf``), never as an error.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
@@ -33,10 +34,7 @@ UNBOUNDED = math.inf
 
 def _collapse(seq: tuple[int, ...]) -> tuple[int, ...]:
     """Drop immediate repeats, including across the cyclic wrap-around."""
-    out: list[int] = []
-    for v in seq:
-        if not out or out[-1] != v:
-            out.append(v)
+    out = [v for v, before in zip(seq, (None, *seq)) if v != before]
     while len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return tuple(out)
@@ -46,15 +44,20 @@ def _collapse(seq: tuple[int, ...]) -> tuple[int, ...]:
 class Schedule:
     """One period of a cyclic visit sequence (point indices).
 
-    Immediate repeats are collapsed on construction, cyclically, so two
-    consecutive visits are always distinct unless the schedule is a single
-    visit.
+    Visits are integers (``int``, ``bool`` or numpy integers); any other
+    visit raises ValueError.  Immediate repeats are collapsed on
+    construction, cyclically, so two consecutive visits are always distinct
+    unless the schedule is a single visit.
     """
 
     visits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        visits = tuple(int(v) for v in self.visits)
+        try:
+            visits = tuple(map(operator.index, self.visits))
+        except TypeError:  # a float, string or None: not a point index
+            bad = next(v for v in self.visits if not hasattr(v, "__index__"))
+            raise ValueError(f"schedule visit {bad!r} is not a point index") from None
         if not visits:
             raise ValueError("a schedule must contain at least one visit")
         object.__setattr__(self, "visits", _collapse(visits))

@@ -252,7 +252,11 @@ def strategy_from_document(doc: Any, inst: Instance) -> MixedStrategy:
         prob = e["prob"]
         if isinstance(prob, bool) or not isinstance(prob, (int, float)):
             raise ValueError(f"strategy entry {i}: 'prob' must be a number, got {prob!r}")
-        built.append((schedule_from_document(e["schedule"], inst), float(prob)))
+        try:
+            prob = float(prob)
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"strategy entry {i}: 'prob' is past the float range") from None
+        built.append((schedule_from_document(e["schedule"], inst), prob))
     return MixedStrategy(entries=tuple(built))
 
 

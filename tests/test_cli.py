@@ -243,6 +243,45 @@ class TestInstanceDigest:
         assert read_json(f"{prefix}.json")["result"]["rows"][0]["sha256"] == digest
 
 
+NOT_UTF8 = "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+class TestInputFiles:
+    """Every input file is read as bytes and parsed by ``instance.loads``."""
+
+    def test_non_utf8_file_names_its_path(self, tmp_path, triangle_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + triangle_file.read_bytes())
+        for argv in (["validate", bad], ["plan", bad],
+                     ["eval", triangle_file, bad], ["mix", triangle_file, bad]):
+            assert main([str(arg) for arg in argv]) == 1
+            assert capsys.readouterr().err == f"error: {bad}: {NOT_UTF8}\n"
+
+    def test_non_utf8_corpus_entry_is_a_failed_row(self, tmp_path, triangle_file):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        bad = corpus / "bad.json"
+        bad.write_bytes(b"\xff" + triangle_file.read_bytes())
+        prefix = tmp_path / "bench"
+        assert main(["bench", str(corpus), "--out", str(prefix)]) == 0
+        [row] = read_json(f"{prefix}.json")["result"]["rows"]
+        assert row["status"] == "failed"
+        assert row["error"] == f"{bad}: {NOT_UTF8}"
+        assert row["sha256"] == hashlib.sha256(bad.read_bytes()).hexdigest()
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter reads integers of any length")
+    def test_integer_too_long_to_read_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"labels": ["a", "b", "c"], "weights": [1, 1, 1' + "0" * 4999
+                        + '], "metric": {"type": "explicit", '
+                          '"dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}')
+        for command in ("validate", "plan"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {path}: not valid JSON: Exceeds the limit (4300 digits)")
+
+
 class TestGen:
     def test_writes_valid_instance(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -259,6 +298,13 @@ class TestGen:
 
     def test_bad_n_exits_1(self, tmp_path):
         assert main(["gen", "--n", "2", "--out", str(tmp_path / "x.json")]) == 1
+
+    def test_impossible_size_exits_1_with_one_line_error(self, capsys):
+        # numpy refuses the n x n cost matrix before it allocates anything
+        assert main(["gen", "--n", "10000000", "--geometry", "random-closure"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
 
 
 class TestPlan:
@@ -498,8 +544,9 @@ class TestMix:
         assert_one_line_error(proc)
         assert proc.stderr.startswith(f"error: {strat}: not valid JSON: maximum recursion")
 
-    @pytest.mark.parametrize("prob", [[1], {"p": 1}, None, True, "1"],
-                             ids=["array", "object", "null", "bool", "string"])
+    @pytest.mark.parametrize("prob", [[1], {"p": 1}, None, True, "1", 10 ** 400],
+                             ids=["array", "object", "null", "bool", "string",
+                                  "past-float-range"])
     def test_non_number_prob_exits_1_with_one_line_error(self, tmp_path, triangle_file,
                                                          prob):
         strat = tmp_path / "strategy.json"

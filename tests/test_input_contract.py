@@ -1,0 +1,133 @@
+"""The input contract, as a property: every command, given a valid instance,
+schedule and strategy with one of them mutated, either runs or fails with
+exit code 1 or 2 and one ``error:`` line, and never lets an exception or a
+warning out.
+
+Each example writes the three documents, mutates one of them at one node and
+runs ``validate``, ``plan``, ``eval``, ``attack``, ``mix``, ``treecover --k 2``
+and ``oracle-tsp`` in-process.  A warning counts as stderr output, because
+the installed command prints it there.
+"""
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from patrolsched.cli import main
+from conftest import random_instance
+
+# Values written in place of the mutated node.
+VALUES = {"string": "x", "number": 7, "bool": True, "null": None, "empty-array": [],
+          "empty-object": {}, "nan": math.nan, "infinity": math.inf,
+          "-infinity": -math.inf}
+
+# JSON text spliced in place of the mutated node: what json.dumps cannot
+# write (a 5,000-digit integer) or would take too deep a recursion to.
+RAW = {"int-401": "1" + "0" * 400, "int-5000": "1" + "0" * 4999,
+       "deep-1000": "[" * 1000 + "]" * 1000, "deep-100000": "[" * 100_000 + "]" * 100_000}
+
+# "repeat" makes every item of a list its first item (duplicate labels when
+# the node is the instance's labels); "0xff" puts that byte before the text.
+MUTANTS = (*VALUES, *RAW, "repeat", "0xff")
+
+KINDS = ("instance", "schedule", "strategy")
+SPLICE = "@@splice@@"
+
+
+def documents(n: int, seed: int, metric: str) -> dict[str, object]:
+    """A valid instance (explicit or euclidean metric), schedule and strategy."""
+    doc = random_instance(seed, n).to_document()
+    if metric == "euclidean":
+        coords = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
+        doc["metric"] = {"type": "euclidean", "coords": coords.tolist()}
+    labels = doc["labels"]
+    return {"instance": doc,
+            "schedule": {"visits": labels},
+            "strategy": {"entries": [{"schedule": {"visits": labels}, "prob": 0.5},
+                                     {"schedule": {"visits": labels[::-1]}, "prob": 0.5}]}}
+
+
+def node_paths(doc, path=()):
+    """The key path of every node of ``doc``, the root first."""
+    yield path
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from node_paths(doc[key], (*path, key))
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from node_paths(item, (*path, i))
+
+
+def mutated(doc, path, mutant: str) -> bytes:
+    """``doc`` as file bytes, with ``mutant`` applied at ``path``."""
+    holder = {"root": copy.deepcopy(doc)}
+    *parents, last = ("root", *path)
+    parent = holder
+    for key in parents:
+        parent = parent[key]
+    node = parent[last]
+    if mutant == "repeat":
+        if isinstance(node, list):
+            parent[last] = node[:1] * len(node)
+    elif mutant in RAW:
+        parent[last] = SPLICE
+    elif mutant != "0xff":
+        parent[last] = VALUES[mutant]
+    text = json.dumps(holder["root"]).replace(json.dumps(SPLICE), RAW.get(mutant, ""))
+    return (b"\xff" if mutant == "0xff" else b"") + text.encode()
+
+
+@st.composite
+def mutations(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n, seed = draw(st.integers(3, 6)), draw(st.integers(0, 3))
+    metric = draw(st.sampled_from(("explicit", "euclidean")))
+    doc = documents(n, seed, metric)[kind]
+    path = draw(st.sampled_from(list(node_paths(doc))))
+    return kind, n, seed, metric, path, draw(st.sampled_from(MUTANTS))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(case=mutations())
+# a strategy probability past the float range once printed a traceback from mix
+@example(case=("strategy", 3, 0, "explicit", ("entries", 0, "prob"), "int-401"))
+@example(case=("instance", 4, 1, "explicit", ("labels",), "repeat"))
+# an infinite coordinate once printed numpy's RuntimeWarning before the error line
+@example(case=("instance", 3, 0, "euclidean", ("metric", "coords", 1, 0), "infinity"))
+@example(case=("instance", 3, 0, "explicit", ("weights", 2), "int-5000"))
+@example(case=("schedule", 5, 2, "explicit", ("visits", 1), "deep-1000"))
+def test_every_command_runs_or_fails_with_one_error_line(workdir, case):
+    kind, n, seed, metric, path, mutant = case
+    files = {}
+    for name, doc in documents(n, seed, metric).items():
+        files[name] = workdir / f"{name}.json"
+        files[name].write_bytes(mutated(doc, path, mutant) if name == kind
+                                else json.dumps(doc).encode())
+    inst, sched, strat = (str(files[name]) for name in KINDS)
+    for argv in (["validate", inst], ["plan", inst], ["eval", inst, sched],
+                 ["attack", inst, sched], ["mix", inst, strat],
+                 ["treecover", inst, "--k", "2"], ["oracle-tsp", inst]):
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, code)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert len(lines) <= 1, (argv, lines)
+        assert all(line.startswith("error: ") for line in lines), (argv, lines)

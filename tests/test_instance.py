@@ -248,6 +248,15 @@ class TestDocuments:
         with pytest.raises(ValueError, match=r"^report field a\[0\] is nan$"):
             dumps({"b": 1.0, "a": [math.nan]}, "report")
 
+    def test_bytes_are_read_as_strict_utf_8(self):
+        assert loads('{"a": "\u00e9"}'.encode(), "x.json") == {"a": "\u00e9"}
+        with pytest.raises(InstanceFormatError,
+                           match=r"^x\.json: not valid JSON: 'utf-8' codec can't decode "
+                                 r"byte 0xff in position 0"):
+            loads(b"\xff[1]", "x.json")
+        with pytest.raises(InstanceFormatError, match=r"^x\.json: not valid JSON: "):
+            loads("[1]".encode("utf-16-le"), "x.json")  # json alone would detect UTF-16
+
     def test_missing_field_raises_format_error(self):
         with pytest.raises(InstanceFormatError):
             load_instance(json.dumps({"labels": ["a"], "weights": [1.0]}))

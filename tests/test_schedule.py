@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,17 @@ class TestScheduleConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Schedule(())
+
+    @pytest.mark.parametrize("visits, bad", [((0, 1.5, 2), "1.5"), (("0", "1"), "'0'"),
+                                             ((0, None), "None")])
+    def test_rejects_a_visit_that_is_not_an_integer(self, visits, bad):
+        with pytest.raises(ValueError, match=rf"^schedule visit {bad} is not a point index$"):
+            Schedule(visits)
+
+    def test_integer_visits_of_any_integer_type(self):
+        s = Schedule((np.int64(0), np.int32(1), True, 2))
+        assert s.visits == (0, 1, 2)
+        assert {type(v) for v in s.visits} == {int}
 
     def test_document_round_trip(self, unit_triangle):
         s = Schedule((0, 1, 0, 2))
