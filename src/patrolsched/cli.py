@@ -60,6 +60,9 @@ from .treecover import minmax_tree_cover
 # What a command returns to the runner: report fields, summary, exit code.
 Outcome = tuple[dict[str, Any], str, int]
 
+# The errors a command, or one bench row, reports instead of raising.
+_FAILURES = (OSError, ValueError, KeyError, MemoryError)
+
 # The plan diagnostics that `plan` reports and `bench` tabulates.
 _PLAN_FIELDS = ("objective_inf", "objective_2", "lower_bound", "envelope_ratio",
                 "envelope_limit")
@@ -90,7 +93,7 @@ def _run(args: argparse.Namespace) -> int:
                       "timings": {"total_s": time.perf_counter() - t0}}
             _write_json(report, args.report.format(args.out), f"{args.command}: report")
         print(summary)
-    except (OSError, ValueError, KeyError, MemoryError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
     return code
@@ -373,7 +376,7 @@ def _bench_row(path: Path) -> dict[str, Any]:
             row["oracle_value"] = oracle.value
             if oracle.value > 0.0:
                 row["alg_over_oracle"] = diag["objective_inf"] / oracle.value
-    except (OSError, ValueError, KeyError) as exc:
+    except _FAILURES as exc:
         row["status"] = "failed"
         row["error"] = str(exc)
     return row

@@ -68,11 +68,14 @@ class Schedule:
 
 def _check_points(visits: Sequence[int], n: int) -> np.ndarray:
     """The visits as an index array; ValueError names the first unknown index."""
-    v = np.array(visits, dtype=np.intp)
-    if v.min() < 0 or v.max() >= n:
-        bad = np.flatnonzero((v < 0) | (v >= n))
-        raise ValueError(f"schedule refers to unknown point index {visits[bad[0]]}")
-    return v
+    try:
+        v = np.array(visits, dtype=np.intp)
+        if v.min() >= 0 and v.max() < n:
+            return v
+    except OverflowError:  # an index past the C integer range
+        pass
+    bad = next(x for x in visits if not 0 <= x < n)
+    raise ValueError(f"schedule refers to unknown point index {bad}")
 
 
 def _hops(s: Schedule, inst: Instance) -> list[float]:
@@ -152,9 +155,10 @@ def _validate_p(p: float) -> float:
 def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
     """sum(l^p) / sum(l^(p-1)) over ``gaps``, the max gap for p = inf.
 
-    When sum(l^p) is not a normal float and some gap is positive, the powers
-    underflowed: the cost is taken on the gaps divided by the largest one
-    and multiplied back, so tiny distances never cost a silent 0.
+    When sum(l^p) is not a finite normal float and some gap is positive, a
+    power or their sum left the float range: the cost is taken on the gaps
+    divided by the largest one and multiplied back, so tiny distances never
+    cost a silent 0 and huge ones never an overflow.
     """
     if gaps is None:
         return UNBOUNDED
@@ -173,10 +177,7 @@ def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
                 den += g ** (p - 1.0)
     except OverflowError:
         num = math.inf
-    if math.isinf(num):  # a power, or the sum of the powers, passed the float range
-        raise ValueError(f"absence cost at p={p:g} overflows: the absence lengths "
-                         f"to the power p exceed the float range")
-    if num < sys.float_info.min:  # every gap is 0 (a single visit), or the powers underflowed
+    if not sys.float_info.min <= num < math.inf:  # every gap is 0 (a single visit), or out of range
         top = max(gaps)
         return 0.0 if top == 0.0 else _cost_of_gaps([g / top for g in gaps], p) * top
     return num / den
@@ -218,13 +219,24 @@ def weighted_objective(s: Schedule, inst: Instance, p: float) -> float:
 
 
 def schedule_from_document(doc: Any, inst: Instance) -> Schedule:
-    """Build a Schedule from a ``{"visits": [label, ...]}`` document."""
+    """Build a Schedule from a ``{"visits": [label, ...]}`` document.
+
+    Every visit is resolved in one lookup over the instance's labels; the
+    first visit that is not a string, or names no point, raises ValueError.
+    """
     if not isinstance(doc, dict) or "visits" not in doc:
         raise ValueError("schedule document must be an object with a 'visits' array")
     visits = doc["visits"]
     if not isinstance(visits, list) or not visits:
         raise ValueError("'visits' must be a non-empty array of point labels")
-    return Schedule(tuple(inst.index(str(lab)) for lab in visits))
+    index = inst._index
+    try:
+        return Schedule(tuple(map(index.__getitem__, visits)))
+    except (KeyError, TypeError):  # an unknown label, or an unhashable visit
+        bad = next(lab for lab in visits if not isinstance(lab, str) or lab not in index)
+    if not isinstance(bad, str):
+        raise ValueError(f"schedule visits must be point labels (strings), got {bad!r}")
+    raise ValueError(f"unknown point label {bad!r}")
 
 
 def schedule_to_document(s: Schedule, inst: Instance) -> dict[str, Any]:

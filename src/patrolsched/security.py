@@ -104,16 +104,13 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
     On each interval between consecutive sorted absence lengths the utility
     is a downward parabola in t, so the maximum is at an interval endpoint or
     the parabola vertex.  Every candidate is scored, in blocks of at most
-    :data:`SCAN_BLOCK` pairs; ties resolve to the smallest duration.  A
-    utility past the float range raises ValueError.
+    :data:`SCAN_BLOCK` pairs; ties resolve to the smallest duration.
 
-    A best utility below the normal range may come from t * excess
-    underflowing at tiny distances: the gaps are then scored divided by the
-    period, and that answer, multiplied back, is taken if it is normal, or
-    if the weight is normal and the direct best utility is exactly 0 (a
-    positive gap always scores above 0 unless it underflowed, and with no
-    positive gap both answers are 0).  A subnormal weight keeps the direct
-    answer.
+    When the best candidate's w * t * excess, or its quotient by the period,
+    is not a finite normal float, the scan under- or overflowed: the gaps are
+    scored divided by the period and the answer is multiplied back.  A
+    subnormal weight keeps the direct answer unless the rescaled one is
+    normal.
     """
     if period == 0.0:
         return 0.0, 0.0
@@ -127,21 +124,18 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
     inside = grows & (lo < vertex) & (vertex < ls)
     candidates = np.sort(np.concatenate((lo[grows], ls[grows], vertex[inside])))
 
-    best_t = 0.0
-    best_u = 0.0
+    best_t = best_wte = best_u = 0.0
     rows = max(1, SCAN_BLOCK // m)
     for a in range(0, len(candidates), rows):
         t = candidates[a:a + rows]
-        u = weight * t * _excess(ls, t) / period
-        if not np.isfinite(u).all():
-            raise ValueError("attack utility overflows: an attack duration times "
-                             "its weighted excess exceeds the float range")
+        wte = weight * t * _excess(ls, t)
+        u = wte / period
         i = int(np.argmax(u))
         if u[i] > best_u:
-            best_t, best_u = float(t[i]), float(u[i])
-    if best_u < sys.float_info.min and period != 1.0:
+            best_t, best_wte, best_u = float(t[i]), float(wte[i]), float(u[i])
+    if period != 1.0 and not all(sys.float_info.min <= x < math.inf for x in (best_wte, best_u)):
         t_unit, u_unit = _best_attack_on_gaps(ls / period, 1.0, weight)
-        if u_unit * period >= sys.float_info.min or (best_u == 0.0 and weight >= sys.float_info.min):
+        if weight >= sys.float_info.min or u_unit * period >= sys.float_info.min:
             return t_unit * period, u_unit * period
     return best_t, best_u
 
@@ -154,7 +148,7 @@ def per_target_best(s: Schedule, inst: Instance) -> list[AttackOutcome]:
     """
     profiles, period = _walk(s, inst)
     out: list[AttackOutcome] = []
-    # a utility past the float range raises ValueError, without a RuntimeWarning
+    # a scan past the float range is rescaled, without a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         for x, (w, gaps) in enumerate(zip(inst.weights.tolist(), profiles)):
             if gaps is None:

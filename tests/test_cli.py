@@ -613,6 +613,27 @@ class TestBench:
         with open(f"{prefix}.csv") as fh:
             assert list(csv.DictReader(fh))[3]["status"] == "failed"
 
+    def test_a_row_that_runs_out_of_memory_fails_alone(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for seed in (1, 2, 3):
+            assert main(["gen", "--n", "5", "--seed", str(seed),
+                         "--out", str(corpus / f"inst{seed}.json")]) == 0
+        calls = []
+
+        def second_runs_out_of_memory(inst):
+            calls.append(inst)
+            if len(calls) == 2:
+                raise MemoryError("out of memory")
+            return plan(inst)
+        monkeypatch.setattr(patrolsched.cli, "plan", second_runs_out_of_memory)
+        prefix = tmp_path / "bench"
+        assert main(["bench", str(corpus), "--out", str(prefix)]) == 0
+        rows = read_json(f"{prefix}.json")["result"]["rows"]
+        assert [(r["file"], r["status"], r["error"]) for r in rows] == [
+            ("inst1.json", "ok", None), ("inst2.json", "failed", "out of memory"),
+            ("inst3.json", "ok", None)]
+
     def test_empty_corpus_ok(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -769,6 +790,46 @@ class TestUsage:
         assert main(["oracle-opt", str(triangle_file), "--max-period", "1"]) == 1
 
 
+_TRIANGLE = {"labels": ["a", "b", "c"], "weights": [1, 1, 1],
+             "metric": {"type": "explicit", "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command, instance, flags, message", [
+        ("validate", {"labels": [], "weights": [], "metric": {"type": "explicit", "dist": []}},
+         [], "instance needs at least one point"),
+        ("validate", {**_TRIANGLE, "weights": [1, 1]}, [], "expected 3 weights, got shape (2,)"),
+        ("validate", {**_TRIANGLE, "metric": {"type": "explicit", "dist": [[0, 1], [1, 0]]}},
+         [], "expected a 3x3 distance matrix, got shape (2, 2)"),
+        ("validate", {**_TRIANGLE, "metric": {"dist": _TRIANGLE["metric"]["dist"]}},
+         [], "'metric' must be an object with a 'type'"),
+        ("validate", {**_TRIANGLE, "metric": {"type": "explicit"}},
+         [], "explicit metric needs a 'dist' matrix"),
+        ("validate", {**_TRIANGLE, "metric": {"type": "euclidean"}},
+         [], "euclidean metric needs a 'coords' array"),
+        ("eval", _TRIANGLE, ["sched.json", "--p", "abc"],
+         "--p must be 'inf' or a number >= 2, got 'abc'"),
+        ("oracle-tsp", _TRIANGLE, ["--subset", ","], "--subset must list at least one label"),
+        ("treecover", _TRIANGLE, ["--k", "0"], "k must be at least 1, got 0"),
+        ("oracle-cover", _TRIANGLE, ["--k", "0"], "k must be at least 1, got 0"),
+        ("oracle-opt", "seven points", [], "brute force is limited to 6 points, got 7"),
+    ], ids=["empty-instance", "weight-count", "dist-shape", "metric-without-type",
+            "explicit-without-dist", "euclidean-without-coords", "eval-p-abc",
+            "oracle-tsp-empty-subset", "treecover-k0", "oracle-cover-k0", "oracle-opt-7-points"])
+    def test_exits_1_with_one_line_error(self, tmp_path, capsys, command, instance, flags,
+                                         message):
+        path = tmp_path / "inst.json"
+        if instance == "seven points":
+            assert main(["gen", "--n", "7", "--seed", "1", "--out", str(path)]) == 0
+        else:
+            path.write_text(json.dumps(instance))
+        (tmp_path / "sched.json").write_text(json.dumps({"visits": ["a", "b", "c"]}))
+        flags = [str(tmp_path / x) if x.endswith(".json") else x for x in flags]
+        capsys.readouterr()
+        assert main([command, str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def write_equidistant(tmp_path, dist, weights):
     """An instance file with every pair of points ``dist`` apart; its labels."""
     n = len(weights)
@@ -790,15 +851,11 @@ class TestExtremeScales:
         ("oracle-tsp", 1e308, [1, 1, 1], ""),      # every tour overflows to inf
         ("eval", 1e308, [1, 1, 1], "period overflows"),  # the period overflows to inf
         ("attack", 1e308, [1, 1, 1], "period overflows"),
-        # a finite period whose squared gap, or duration times excess, is not
-        ("eval", 1e200, [1, 1, 1], "absence cost at p=2 overflows"),
-        ("attack", 1e200, [1, 1, 1], "attack utility overflows"),
         # every candidate of the exhaustive oracles scores inf
         ("oracle-opt", 1e308, [1, 1, 1], "objective overflows"),
         ("oracle-cover --k 1", 1e308, [1, 1, 1], "tree cost overflows"),
     ], ids=["plan-overflow", "plan-mst-overflow",
          "oracle-tsp-overflow", "eval-overflow", "attack-overflow",
-         "eval-p2-overflow", "attack-utility-overflow",
          "oracle-opt-overflow", "oracle-cover-overflow"])
     def test_exits_1_with_one_line_error(self, tmp_path, command, dist, weights, message):
         path, labels = write_equidistant(tmp_path, dist, weights)
@@ -811,6 +868,33 @@ class TestExtremeScales:
         proc = run_cli_process(command, *inputs, "--out", str(tmp_path / "report.json"))
         assert_one_line_error(proc)
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("command, inputs, read, expected", [
+        ("plan", [], lambda r: (r["objective_inf"], r["objective_2"], r["lower_bound"]),
+         (2e200, 2e200, 1.5e200)),
+        ("eval", ["sched.json"],
+         lambda r: (r["per_p"]["2"]["objective"], r["per_p"]["inf"]["objective"]),
+         (2e200, 2e200)),
+        ("attack", ["sched.json"],
+         lambda r: (r["best"]["target"], r["best"]["duration"], r["best"]["utility"]),
+         ("p0", 1e200, 0.5e200)),
+        ("mix", ["strategy.json"], lambda r: (r["period"], r["objective_2"]), (4e200, 2e200)),
+        ("oracle-opt", ["--p", "2"], lambda r: r["value"], 3e200),
+    ], ids=["plan", "eval", "attack", "mix", "oracle-opt-p2"])
+    def test_huge_finite_distances_answer_exactly(self, tmp_path, command, inputs,
+                                                  read, expected):
+        """The unit triangle 1e200 apart: l^2 and t * excess pass the float
+        range, and every answer is the unit triangle's times 1e200."""
+        path, _ = write_equidistant(tmp_path, 1e200, [1, 0.5, 0.5])
+        sched = {"visits": ["p0", "p1", "p0", "p2"]}
+        (tmp_path / "sched.json").write_text(json.dumps(sched))
+        (tmp_path / "strategy.json").write_text(
+            json.dumps({"entries": [{"schedule": sched, "prob": 1.0}]}))
+        inputs = [str(tmp_path / x) if x.endswith(".json") else x for x in inputs]
+        out = tmp_path / "report.json"
+        proc = run_cli_process(command, str(path), *inputs, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert read(read_json(out)["result"]) == expected
 
     @pytest.mark.parametrize("dist", [1e-170, 1e-300])
     def test_tiny_distances_do_not_cost_a_silent_0(self, tmp_path, dist):
@@ -854,6 +938,22 @@ class TestExtremeScales:
         assert read_json(out)["result"]["per_p"][p]["objective"] == 0.004
         assert main(["oracle-opt", str(path), "--p", p, "--out", str(out)]) == 0
         assert read_json(out)["result"]["value"] == 0.003
+
+    @pytest.mark.parametrize("n, p", [(40, "400"), (8, "2000")])
+    def test_high_order_cost_of_a_plan(self, tmp_path, n, p):
+        """l^p overflows on a generated plan's longer gaps; every point's cost
+        is still nondecreasing in p up to its longest gap."""
+        inst, sched, out = (tmp_path / name for name in ("inst.json", "sched.json", "eval.json"))
+        assert main(["gen", "--n", str(n), "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["plan", str(inst), "--schedule-out", str(sched)]) == 0
+        ps = ["2", "3", "50", p, "inf"]
+        assert main(["eval", str(inst), str(sched), *(f"--p={q}" for q in ps),
+                     "--out", str(out)]) == 0
+        per_p = read_json(out)["result"]["per_p"]
+        for label in per_p["inf"]["point_costs"]:
+            costs = [per_p[q]["point_costs"][label] for q in ps]
+            for lo, hi in zip(costs, costs[1:]):
+                assert lo <= hi * (1 + 1e-12)
 
     @pytest.mark.parametrize("dist, weights", [
         (5e-324, [1, 1, 1]),           # the smallest subnormal: one cover at the MST cost

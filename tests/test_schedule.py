@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,8 +54,18 @@ class TestScheduleConstruction:
         assert schedule_from_document(doc, unit_triangle) == s
 
     def test_document_unknown_label_raises(self, unit_triangle):
-        with pytest.raises(ValueError):
-            schedule_from_document({"visits": ["a", "zz"]}, unit_triangle)
+        with pytest.raises(ValueError, match=r"^unknown point label 'zz'$"):
+            schedule_from_document({"visits": ["a", "zz", "yy"]}, unit_triangle)
+
+    @pytest.mark.parametrize("visit", [None, 1, True, [1]], ids=["null", "1", "true", "array"])
+    def test_document_rejects_a_visit_that_is_not_a_string(self, visit):
+        """A JSON null, number or boolean names no point, even where some
+        label spells it."""
+        inst = make_instance(["None", "1", "True"], [1.0, 1.0, 1.0],
+                             [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=rf"^schedule visits must be point labels "
+                                             rf"\(strings\), got {re.escape(repr(visit))}$"):
+            schedule_from_document({"visits": ["None", visit, "zz"]}, inst)
 
 
 class TestAbsenceProfile:
@@ -68,7 +79,8 @@ class TestAbsenceProfile:
         s = Schedule((0, 1))
         assert absence_profile(s, 2, unit_triangle) is None
 
-    @pytest.mark.parametrize("visits, bad", [((0, 3, 1, 4), 3), ((0, -1, 2), -1)])
+    @pytest.mark.parametrize("visits, bad", [((0, 3, 1, 4), 3), ((0, -1, 2), -1),
+                                             ((0, 10**30), 10**30), ((0, -10**30), -10**30)])
     def test_unknown_point_index_is_an_error(self, unit_triangle, visits, bad):
         s = Schedule(visits)
         for call in (lambda: period_length(s, unit_triangle),
@@ -154,13 +166,13 @@ class TestPointCosts:
                 call()
 
 
-    def test_power_overflow_is_an_error(self):
+    def test_power_overflow_is_rescaled(self):
+        """l^p passes the float range, the period does not: every point's one
+        gap is the period, at every order."""
         big = make_instance(["a", "b", "c"], [1.0, 1.0, 1.0],
                             [[0.0 if i == j else 1e200 for j in range(3)] for i in range(3)])
         s = Schedule((0, 1, 2))
-        with pytest.raises(ValueError, match="absence cost at p=3 overflows"):
-            point_costs(s, big, [3.0])
-        assert point_costs(s, big, [math.inf]) == [[3e200, 3e200, 3e200]]
+        assert point_costs(s, big, [2.0, 3.0, 2000.0, math.inf]) == [[3e200] * 3] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +248,11 @@ def test_point_cost_nondecreasing_in_p(seed, visits):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 999), visits=visit_sequences(5),
-       scale=st.sampled_from([1.0, 1e-3, 1e-170, 1e-300]))
+       scale=st.sampled_from([1.0, 1e-3, 1e-170, 1e-300, 1e3, 1e170, 1e300]))
 def test_point_cost_nondecreasing_in_p_at_every_distance_scale(seed, visits, scale):
-    """Rescaled to a period of ``scale``, so no gap exceeds it and l^2000
-    cannot overflow; l^p underflows at small scales and high p, and every
-    cost must still be positive, nondecreasing in p, and ``scale`` times
-    the cost at period 1."""
+    """Rescaled to a period of ``scale``: l^p underflows at small scales
+    and overflows at large ones, and every cost must still be positive,
+    nondecreasing in p, and ``scale`` times the cost at period 1."""
     base = random_instance(seed, 5)
     s = Schedule(visits)
     period = period_length(s, base)
