@@ -16,11 +16,14 @@ bench         planner ratio table over a directory of instances
 
 Exit codes: 0 success, 1 domain/validation failure, 2 I/O or usage error.
 
-Every command runs through one runner, ``_run``.  A command parses its
-inputs, calls the library and returns its report fields, a short human
-summary and its exit code; the runner times it, adds ``command`` and
-``timings``, writes the JSON run report when ``--out`` is given, prints the
-summary, and maps errors to exit codes with a one-line ``error:`` message.
+Every command runs through one runner, ``_run``.  For an instance command
+the runner reads and builds the instance, then parses each document the
+command declares (a schedule or a strategy), and hands them over.  A
+command parses its flags, calls the library and returns its report fields,
+a short human summary and its exit code; the runner times it, adds
+``command``, ``instance`` (the file's path and SHA-256) and ``timings``,
+writes the JSON run report when ``--out`` is given, prints the summary, and
+maps errors to exit codes with a one-line ``error:`` message.
 Every document the CLI writes is one line of JSON with sorted keys.
 Reports are deterministic for fixed inputs, flags, and seeds: the SHA-256
 of the instance file's bytes is embedded, and wall-clock measurements live
@@ -51,9 +54,9 @@ from .oracle import (BRUTE_FORCE_MAX_POINTS, BRUTE_FORCE_MAX_PERIOD,
                      HELD_KARP_MAX, OracleResult, brute_force_weighted_opt,
                      held_karp_tsp, partition_tree_cover_oracle)
 from .planner import plan
-from .schedule import (period_length, point_costs, schedule_from_document,
+from .schedule import (Schedule, period_length, point_costs, schedule_from_document,
                        schedule_to_document, weighted_objective, worst_weighted)
-from .security import (AttackOutcome, mix_tours, per_target_best,
+from .security import (AttackOutcome, MixedStrategy, mix_tours, per_target_best,
                        strategy_from_document, strongest_attack)
 from .treecover import minmax_tree_cover
 
@@ -84,10 +87,23 @@ def _unbounded(x: float) -> float | str:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Time the command, write its report, print its summary, return its code."""
+    """Read the command's inputs, time the command, write its report, print
+    its summary, return its code."""
     t0 = time.perf_counter()
     try:
-        fields, summary, code = args.func(args)
+        if args.documents is None:
+            fields, summary, code = args.func(args)
+        else:
+            data, ref = _read_instance_file(args.instance)
+            inst = load_instance(data, ref["path"])
+            del data  # the command runs without the file's bytes held
+            parse = {"schedule": schedule_from_document, "strategy": strategy_from_document}
+            docs = []
+            for name in args.documents:
+                path = getattr(args, name)
+                docs.append(parse[name](loads(Path(path).read_bytes(), path), inst))
+            fields, summary, code = args.func(args, inst, *docs)
+            fields["instance"] = ref
         if args.out is not None and args.report is not None:
             report = {"command": args.command, **fields,
                       "timings": {"total_s": time.perf_counter() - t0}}
@@ -100,24 +116,13 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "unbounded"
-    return format(x, ".6g")
-
-
-def _read_json(path: str) -> Any:
-    return loads(Path(path).read_bytes(), path)
+    return "unbounded" if math.isinf(x) else format(x, ".6g")
 
 
 def _read_instance_file(path: str | Path) -> tuple[bytes, dict[str, Any]]:
     """The file's bytes and its report reference: path and SHA-256 of the bytes."""
     data = Path(path).read_bytes()
     return data, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _load_instance_file(path: str) -> tuple[Instance, dict[str, Any]]:
-    data, ref = _read_instance_file(path)
-    return load_instance(data, ref["path"]), ref
 
 
 def _parse_p(text: str) -> float:
@@ -194,8 +199,7 @@ def _cmd_gen(args: argparse.Namespace) -> Outcome:
                 f"weight-law={args.weight_law} seed={args.seed}"), 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> Outcome:
-    inst, ref = _load_instance_file(args.instance)
+def _cmd_plan(args: argparse.Namespace, inst: Instance) -> Outcome:
     res = plan(inst)
     diag = res.diagnostics
     result = {
@@ -232,13 +236,10 @@ def _cmd_plan(args: argparse.Namespace) -> Outcome:
                f"lower_bound={_fmt(diag['lower_bound'])}, "
                f"limit={_fmt(diag['envelope_limit'])}\n"
                f"invariants: {flags}")
-    return {"instance": ref, "parameters": {}, "result": result,
-            "invariants": invariants}, summary, 0
+    return {"parameters": {}, "result": result, "invariants": invariants}, summary, 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> Outcome:
-    inst, ref = _load_instance_file(args.instance)
-    sched = schedule_from_document(_read_json(args.schedule), inst)
+def _cmd_eval(args: argparse.Namespace, inst: Instance, sched: Schedule) -> Outcome:
     ps = [_parse_p(t) for t in (args.p or ["2", "inf"])]
     keys = [format(p, "g") for p in ps]
     costs = dict(zip(keys, point_costs(sched, inst, ps)))
@@ -250,30 +251,25 @@ def _cmd_eval(args: argparse.Namespace) -> Outcome:
     period = period_length(sched, inst)
     summary = ", ".join(f"p={key}: {_fmt(v)}" for key, v in objectives.items())
     return {
-        "instance": ref,
         "parameters": {"schedule": str(args.schedule), "p": keys},
         "result": {"visits": len(sched), "period": period, "per_p": per_p},
     }, f"eval: {len(sched)} visits, period {_fmt(period)}; {summary}", 0
 
 
-def _cmd_oracle_tsp(args: argparse.Namespace) -> Outcome:
-    inst, ref = _load_instance_file(args.instance)
+def _cmd_oracle_tsp(args: argparse.Namespace, inst: Instance) -> Outcome:
     subset = _parse_subset(inst, args.subset)
     res = held_karp_tsp(inst, subset)
     return {
-        "instance": ref,
         "parameters": {"subset": _subset_doc(inst, subset)},
         "result": _oracle_doc(res, schedule_to_document(res.witness, inst)),
     }, f"oracle-tsp: value {_fmt(res.value)} over {res.search_bound['points']} points", 0
 
 
-def _cmd_oracle_opt(args: argparse.Namespace) -> Outcome:
-    inst, ref = _load_instance_file(args.instance)
+def _cmd_oracle_opt(args: argparse.Namespace, inst: Instance) -> Outcome:
     p = _parse_p(args.p)
     max_period = args.max_period if args.max_period is not None else inst.n
     res = brute_force_weighted_opt(inst, p, max_period)
     return {
-        "instance": ref,
         "parameters": {"p": format(p, "g"), "max_period": max_period},
         "result": _oracle_doc(res, schedule_to_document(res.witness, inst)),
     }, (f"oracle-opt: best weighted objective {_fmt(res.value)} "
@@ -281,12 +277,10 @@ def _cmd_oracle_opt(args: argparse.Namespace) -> Outcome:
         f"(upper bound on the unrestricted optimum)"), 0
 
 
-def _cmd_oracle_cover(args: argparse.Namespace) -> Outcome:
-    inst, ref = _load_instance_file(args.instance)
+def _cmd_oracle_cover(args: argparse.Namespace, inst: Instance) -> Outcome:
     subset = _parse_subset(inst, args.subset)
     res = partition_tree_cover_oracle(inst, subset, args.k)
     return {
-        "instance": ref,
         "parameters": {"subset": _subset_doc(inst, subset), "k": args.k},
         "result": _oracle_doc(res, [[inst.labels[x] for x in block]
                                     for block in res.witness]),
@@ -294,12 +288,10 @@ def _cmd_oracle_cover(args: argparse.Namespace) -> Outcome:
         f"with {len(res.witness)} blocks (k={args.k})"), 0
 
 
-def _cmd_treecover(args: argparse.Namespace) -> Outcome:
-    inst, ref = _load_instance_file(args.instance)
+def _cmd_treecover(args: argparse.Namespace, inst: Instance) -> Outcome:
     subset = _parse_subset(inst, args.subset)
     cover = minmax_tree_cover(inst, subset, args.k)
     return {
-        "instance": ref,
         "parameters": {"subset": _subset_doc(inst, subset), "k": args.k},
         "result": {
             "budget": cover.budget_used,
@@ -311,13 +303,10 @@ def _cmd_treecover(args: argparse.Namespace) -> Outcome:
         f"max cost {_fmt(cover.max_cost)} at budget {_fmt(cover.budget_used)}"), 0
 
 
-def _cmd_attack(args: argparse.Namespace) -> Outcome:
-    inst, ref = _load_instance_file(args.instance)
-    sched = schedule_from_document(_read_json(args.schedule), inst)
+def _cmd_attack(args: argparse.Namespace, inst: Instance, sched: Schedule) -> Outcome:
     outcomes = per_target_best(sched, inst)
     best = strongest_attack(outcomes)
     return {
-        "instance": ref,
         "parameters": {"schedule": str(args.schedule)},
         "result": {"best": _attack_doc(best, inst),
                    "per_target": [_attack_doc(o, inst) for o in outcomes]},
@@ -325,16 +314,13 @@ def _cmd_attack(args: argparse.Namespace) -> Outcome:
         f"duration {_fmt(best.duration)}, utility {_fmt(best.utility)}"), 0
 
 
-def _cmd_mix(args: argparse.Namespace) -> Outcome:
-    inst, ref = _load_instance_file(args.instance)
-    strategy = strategy_from_document(_read_json(args.strategy), inst)
+def _cmd_mix(args: argparse.Namespace, inst: Instance, strategy: MixedStrategy) -> Outcome:
     mixed = mix_tours(strategy, inst)
     doc = schedule_to_document(mixed, inst)
     period = period_length(mixed, inst)
     if args.schedule_out:
         _write_json(doc, args.schedule_out)
     return {
-        "instance": ref,
         "parameters": {"strategy": str(args.strategy), "support": len(strategy.entries)},
         "result": {
             "schedule": doc,
@@ -391,7 +377,7 @@ def _cmd_bench(args: argparse.Namespace) -> Outcome:
 
     ok = [r for r in rows if r["status"] == "ok"]
     failed = [r for r in rows if r["status"] != "ok"]
-    ratios = [r["envelope_ratio"] for r in ok if r["envelope_ratio"] is not None]
+    ratios = [r["envelope_ratio"] for r in ok]
     summary = {
         "instances": len(rows),
         "ok": len(ok),
@@ -426,22 +412,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weighted patrol scheduling: planner, oracles, and attack analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # ``report`` names a command's report file from its ``--out`` value (None: none).
+    # ``report`` names a command's report file from its ``--out`` value (None: none);
+    # ``documents`` names what the runner parses after the instance (None: it reads nothing).
     def add(name: str, func, help_text: str, *documents: str) -> argparse.ArgumentParser:
         """A command that reads an instance and ``documents`` and writes its
         report to ``--out``."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, report="{}")
+        p.set_defaults(func=func, report="{}", documents=documents)
         p.add_argument("instance")
         for document in documents:
             p.add_argument(document, help=f"{document} document path")
         p.add_argument("--out", help="write a JSON run report")
         return p
 
-    add("validate", _cmd_validate, "check an instance document")
+    # a metric violation is validate's result, not an error: it reads its own file
+    add("validate", _cmd_validate, "check an instance document").set_defaults(documents=None)
 
     p = sub.add_parser("gen", help="generate a random instance document")
-    p.set_defaults(func=_cmd_gen, report=None)
+    p.set_defaults(func=_cmd_gen, report=None, documents=None)
     p.add_argument("--n", type=int, required=True, help="number of points (>= 3)")
     p.add_argument("--weight-law", choices=WEIGHT_LAWS, default="uniform")
     p.add_argument("--geometry", choices=GEOMETRIES, default="euclidean-plane")
@@ -482,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule-out", help="also write the bare schedule document")
 
     p = sub.add_parser("bench", help="planner ratio table over a corpus directory")
-    p.set_defaults(func=_cmd_bench, report="{}.json")
+    p.set_defaults(func=_cmd_bench, report="{}.json", documents=None)
     p.add_argument("corpus", help="directory of instance *.json documents")
     p.add_argument("--out", help="output prefix: writes PREFIX.json and PREFIX.csv")
 

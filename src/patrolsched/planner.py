@@ -155,10 +155,7 @@ def plan(inst: Instance) -> PlanResult:
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite ({value!r}): the distances "
                              "are too large to sum in floating point")
-    if lb > 0.0:
-        ratio: float | None = obj_inf / lb
-    else:
-        ratio = 0.0 if obj_inf == 0.0 else None
+    ratio = obj_inf / lb if lb > 0.0 else 0.0  # lb is 0 only for one point, planned at 0
     limit = 18.0 * (I + 1)
 
     diagnostics: dict[str, Any] = {
@@ -167,7 +164,7 @@ def plan(inst: Instance) -> PlanResult:
         "lower_bound": lb,
         "envelope_ratio": ratio,
         "envelope_limit": limit,
-        "envelope_ok": obj_inf <= limit * lb or (obj_inf == 0.0 and lb == 0.0),
+        "envelope_ok": obj_inf <= limit * lb,
         "all_points_visited": set().union(*(set(t.visits) for t in tours)) == set(range(inst.n)),
         "list_weight_ok": _check_list_weights(lists, classes),
         "tree_budget_ok": _check_tree_budgets(classes, covers),

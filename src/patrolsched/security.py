@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -211,16 +210,13 @@ def mix_tours(strategy: MixedStrategy, inst: Instance) -> Schedule:
     walks = [_walk(sched, inst) for sched, _ in kept]
     d_bar = max(period for _, period in walks)
 
+    # scale stays 0 only on one point, where every period is 0 and it is not read
     scale = 0.0
     for profiles, _ in walks:
         for gaps in profiles:
             c2 = _cost_of_gaps(gaps, 2.0)
             if c2 > 0.0:
                 scale = max(scale, 8.0 * d_bar / c2)
-    if scale == 0.0:
-        warnings.warn("degenerate strategy with zero quadratic cost everywhere; "
-                      "using repeat count scale 1")
-        scale = 1.0
 
     visits: list[int] = []
     for (sched, prob), (_, period) in zip(kept, walks):

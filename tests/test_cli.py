@@ -530,6 +530,17 @@ class TestMix:
         assert result["schedule"] == read_json(sched_path)
         assert result["objective_2"] == weighted_objective(lone, inst, 2.0)
 
+    def test_one_point_instance_exits_0_with_empty_stderr(self, tmp_path):
+        inst = tmp_path / "one.json"
+        inst.write_text(serialize_instance(make_instance(["a"], [1.0], [[0.0]])))
+        strat = tmp_path / "strategy.json"
+        strat.write_text(json.dumps({"entries": [
+            {"schedule": {"visits": ["a"]}, "prob": 1.0}]}))
+        out = tmp_path / "mix.json"
+        proc = run_cli_process("mix", str(inst), str(strat), "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert read_json(out)["result"]["schedule"] == {"visits": ["a"]}
+
     def test_bad_probabilities_exit_1(self, tmp_path, triangle_file):
         strat = tmp_path / "strategy.json"
         strat.write_text(json.dumps({"entries": [

@@ -7,6 +7,9 @@ Each example writes the three documents, mutates one of them at one node and
 runs ``validate``, ``plan``, ``eval``, ``attack``, ``mix``, ``treecover --k 2``
 and ``oracle-tsp`` in-process.  A warning counts as stderr output, because
 the installed command prints it there.
+
+Below the commands, each library function refuses an argument out of its
+domain with a ValueError that names it, instead of reading past it.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import copy
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +26,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from patrolsched import (RandomSpec, Schedule, absence_profile, brute_force_weighted_opt,
+                         minimum_spanning_tree, success_probability, validate_metric)
 from patrolsched.cli import main
+from patrolsched.oracle import BRUTE_FORCE_MAX_PERIOD
+from patrolsched.planner import build_lists
 from conftest import random_instance
 
 # Values written in place of the mutated node.
@@ -131,3 +139,27 @@ def test_every_command_runs_or_fails_with_one_error_line(workdir, case):
         assert not caught, (argv, [str(w.message) for w in caught])
         assert len(lines) <= 1, (argv, lines)
         assert all(line.startswith("error: ") for line in lines), (argv, lines)
+
+
+# Without its check, point -1 would silently read the last point's profile.
+@pytest.mark.parametrize("call, message", [
+    (lambda inst: absence_profile(Schedule((0, 1, 2)), -1, inst), "unknown point index -1"),
+    (lambda inst: absence_profile(Schedule((0, 1, 2)), inst.n, inst), "unknown point index 3"),
+    (lambda inst: success_probability(Schedule((0, 1, 2)), inst, -1, 1.0),
+     "unknown point index -1"),
+    (lambda inst: success_probability(Schedule((0, 1, 2)), inst, inst.n, 1.0),
+     "unknown point index 3"),
+    (lambda inst: validate_metric(np.zeros((2, 3))),
+     "distance matrix must be square, got shape (2, 3)"),
+    (lambda inst: RandomSpec(n=5, geometry="torus"), "unknown geometry 'torus'; pick one of"),
+    (lambda inst: minimum_spanning_tree(inst, []), "subset must be non-empty"),
+    (lambda inst: brute_force_weighted_opt(inst, math.inf, BRUTE_FORCE_MAX_PERIOD + 1),
+     f"brute force is limited to period {BRUTE_FORCE_MAX_PERIOD}, "
+     f"got {BRUTE_FORCE_MAX_PERIOD + 1}"),
+    (lambda inst: build_lists([]), "cannot build tour lists from zero tours"),
+], ids=["profile-at-minus-1", "profile-at-n", "success-at-minus-1", "success-at-n",
+        "non-square-metric", "unknown-geometry", "empty-mst-subset",
+        "brute-force-period", "no-tours"])
+def test_library_names_an_argument_out_of_its_domain(unit_triangle, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(unit_triangle)

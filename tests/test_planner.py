@@ -1,14 +1,16 @@
 """The approximation planner: weight classes, tour lists, phase schedule."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsched import (class_index, lower_bound, make_instance,
+from patrolsched import (Schedule, class_index, lower_bound, make_instance,
                          minimum_spanning_tree, plan, weighted_objective)
+from patrolsched.planner import _check_list_weights, _check_tree_budgets
 from conftest import random_instance
 
 
@@ -101,6 +103,22 @@ class TestPlanInvariants:
             if c.theta == 2 ** c.index:  # saturated class
                 mst = minimum_spanning_tree(inst, list(c.members))
                 assert c.theta * cover.max_cost <= 4.0 * mst.cost
+
+    def test_invariant_checks_catch_a_tampered_plan(self):
+        res = plan(random_instance(7, 25, weight_law="pareto"))
+        assert _check_list_weights(res.lists, res.classes)
+        assert _check_tree_budgets(res.classes, res.covers)
+        # a point of the heaviest class on a tour of the last, lightest list
+        heavy, last = res.classes[0], res.lists[-1]
+        assert heavy.index < last.index
+        tour = Schedule((heavy.members[0], *last.tours[0].visits))
+        lists = (*res.lists[:-1], dataclasses.replace(last, tours=(tour, *last.tours[1:])))
+        assert not _check_list_weights(lists, res.classes)
+        # a class whose trees cost more than four MSTs of the class
+        cls = next(c for c in res.classes if res.covers[c.index].max_cost > 0.0)
+        covers = {**res.covers,
+                  cls.index: dataclasses.replace(res.covers[cls.index], mst_cost=0.0)}
+        assert not _check_tree_budgets(res.classes, covers)
 
     def test_lists_hold_exactly_the_class_tours(self):
         inst = random_instance(9, 18, weight_law="pareto")

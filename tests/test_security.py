@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -273,12 +274,17 @@ class TestMixTours:
             assert point_cost(mixed, x, unit_triangle, 2.0) <= \
                 8.0 * mixture_cost * (1 + 1e-9)
 
-    def test_degenerate_single_point_warns(self):
+    def test_single_point_mixes_without_warning(self):
+        # every tour of one point has period 0: each kept tour is emitted once,
+        # and the repeated visit collapses to one
         inst = make_instance(["a"], [1.0], [[0.0]])
-        strat = MixedStrategy(((Schedule((0,)), 1.0),))
-        with pytest.warns(UserWarning):
-            mixed = mix_tours(strat, inst)
-        assert mixed.visits == (0,)
+        one = MixedStrategy(((Schedule((0,)), 1.0),))
+        two_kept = MixedStrategy(((Schedule((0,)), 0.4), (Schedule((0,)), 0.3),
+                                  (Schedule((0,)), 0.3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mix_tours(one, inst).visits == (0,)
+            assert mix_tours(two_kept, inst).visits == (0,)
 
 
 def random_full_tours(rng, inst, count):
