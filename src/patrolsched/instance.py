@@ -7,8 +7,10 @@ triangle inequality up to a small relative tolerance.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
@@ -105,7 +107,13 @@ def validate_metric(dist: np.ndarray) -> MetricReport:
     violates.  Only an asymmetric matrix, or one with a violating triangle,
     pays for the per-j scan that counts and formats them.
     """
-    d = np.asarray(dist, dtype=float)
+    return _metric_report(np.asarray(dist, dtype=float), triangles_hold=False)
+
+
+def _metric_report(d: np.ndarray, triangles_hold: bool) -> MetricReport:
+    """:func:`validate_metric` on the float array ``d``.  ``triangles_hold``
+    is :func:`_euclidean_matrix`'s guard: when it is True no triangle of a
+    symmetric ``d`` can violate, so the tile pass is skipped."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InstanceFormatError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
@@ -135,7 +143,7 @@ def validate_metric(dist: np.ndarray) -> MetricReport:
 
         # d[i,k] <= (d[i,j] + d[j,k]) * (1 + TRIANGLE_TOL) must hold for every j.
         # A sum past the largest double is inf, which no distance exceeds.
-        if counts["asymmetry"] or _some_triangle_violates(d):
+        if counts["asymmetry"] or (not triangles_hold and _some_triangle_violates(d)):
             limit = 1.0 + TRIANGLE_TOL
             with np.errstate(over="ignore"):
                 for j in range(n):
@@ -192,18 +200,21 @@ class Instance:
     """Labelled points, normalized positive weights, and a valid metric.
 
     Construct through :func:`make_instance` / :func:`load_instance`; those
-    normalize weights and validate the metric.  Arrays are frozen after
-    construction.
+    normalize weights and validate the metric.  ``coords`` holds the points
+    a euclidean ``dist`` was computed from, one row per label, or None for
+    an explicit matrix.  Arrays are frozen after construction.
     """
 
     labels: tuple[str, ...]
     weights: np.ndarray
     dist: np.ndarray
+    coords: np.ndarray | None = None
     _index: dict[str, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.weights.flags.writeable = False
-        self.dist.flags.writeable = False
+        for array in (self.weights, self.dist, self.coords):
+            if array is not None:
+                array.flags.writeable = False
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
 
     @property
@@ -220,7 +231,8 @@ class Instance:
         return {
             "labels": list(self.labels),
             "weights": self.weights.tolist(),
-            "metric": {"type": "explicit", "dist": self.dist.tolist()},
+            "metric": ({"type": "explicit", "dist": self.dist.tolist()} if self.coords is None
+                       else {"type": "euclidean", "coords": self.coords.tolist()}),
         }
 
 
@@ -241,6 +253,16 @@ def _float_array(value: Any, name: str) -> np.ndarray:
 def make_instance(labels: Sequence[str], weights: Sequence[float],
                   dist: np.ndarray) -> Instance:
     """Build an Instance: normalize weights (max becomes 1) and validate."""
+    return _instance(labels, weights, dist, None)
+
+
+def _instance(labels: Sequence[str], weights: Sequence[float], dist: np.ndarray | None,
+              coords: np.ndarray | None) -> Instance:
+    """:func:`make_instance` on the matrix ``dist`` or, when ``dist`` is None,
+    on the euclidean distances between the rows of ``coords``, one per
+    label, which the instance keeps.  Every check runs, except that
+    :func:`_euclidean_matrix`'s guard may show the triangle tile pass
+    cannot fail."""
     labels = tuple(str(x) for x in labels)
     if not labels:
         raise InstanceFormatError("instance needs at least one point")
@@ -261,14 +283,18 @@ def make_instance(labels: Sequence[str], weights: Sequence[float],
         raise NonpositiveWeightError(f"weight[{bad}] of point {labels[bad]!r} normalizes "
                                      f"to 0 against the largest weight {top!r}")
 
+    triangles_hold = False
+    if dist is None:
+        dist, triangles_hold = _euclidean_matrix(coords)
     d = _float_array(dist, "dist")
     if d.shape != (len(labels), len(labels)):
         raise InstanceFormatError(
             f"expected a {len(labels)}x{len(labels)} distance matrix, got shape {d.shape}")
-    report = validate_metric(d)
+    report = _metric_report(d, triangles_hold)
     if not report.ok:
         raise MetricViolationError(report)
-    return Instance(labels=labels, weights=w.copy(), dist=d.copy())
+    return Instance(labels=labels, weights=w.copy(), dist=d.copy(),
+                    coords=None if coords is None else coords.copy())
 
 
 def instance_from_document(doc: Any) -> Instance:
@@ -276,7 +302,7 @@ def instance_from_document(doc: Any) -> Instance:
 
     Two metric encodings are accepted: ``{"type": "explicit", "dist": [[...]]}``
     and ``{"type": "euclidean", "coords": [[x, y], ...]}`` (distances are
-    computed at load time).
+    computed at load time, and the instance keeps the coordinates).
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
@@ -298,21 +324,16 @@ def instance_from_document(doc: Any) -> Instance:
     if kind == "explicit":
         if "dist" not in metric:
             raise InstanceFormatError("explicit metric needs a 'dist' matrix")
-        dist = _float_array(metric["dist"], "metric.dist")
-    elif kind == "euclidean":
+        return make_instance(labels, weights, _float_array(metric["dist"], "metric.dist"))
+    if kind == "euclidean":
         if "coords" not in metric:
             raise InstanceFormatError("euclidean metric needs a 'coords' array")
         coords = _float_array(metric["coords"], "metric.coords")
         if coords.ndim != 2 or coords.shape[0] != len(labels):
             raise InstanceFormatError(
                 f"expected {len(labels)} coordinate pairs, got shape {coords.shape}")
-        # An infinite coordinate, or a square past the float range, gives a
-        # distance that is not finite; validate_metric reports it, numpy need not.
-        with np.errstate(invalid="ignore", over="ignore"):
-            dist = _euclidean_matrix(coords)
-    else:
-        raise InstanceFormatError(f"unknown metric type {kind!r}")
-    return make_instance(labels, weights, dist)
+        return _instance(labels, weights, None, coords)
+    raise InstanceFormatError(f"unknown metric type {kind!r}")
 
 
 def loads(data: bytes | str, what: str) -> Any:
@@ -322,11 +343,20 @@ def loads(data: bytes | str, what: str) -> Any:
     detection is not used), or already decoded text.  Bytes that are not
     UTF-8, malformed or too deeply nested JSON, and an integer too long
     for Python to read raise InstanceFormatError naming ``what``.
+
+    The garbage collector is paused while parsing: a collection at the
+    recursion limit of a too deeply nested document could run some other
+    object's finalizer there, which fails and prints ``Exception ignored``.
     """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(data.decode() if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as e:  # nested too deep: RecursionError
         raise InstanceFormatError(f"{what}: not valid JSON: {e}") from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def dumps(doc: Any, what: str) -> str:
@@ -368,9 +398,38 @@ def serialize_instance(inst: Instance) -> str:
     return dumps(inst.to_document(), "instance")
 
 
-def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+def _euclidean_matrix(coords: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The euclidean distances between the rows of ``coords``, and a guard:
+    whether every squared coordinate difference is 0 or a finite normal
+    float (and there are fewer than 2**20 coordinates per point).
+
+    When the guard holds, no triangle can violate the ``TRIANGLE_TOL``
+    check.  Let u = 2**-53 and k be the number of coordinates.  A
+    difference is within u of its true value, relatively (a zero or
+    subnormal difference is exact; one that overflows squares to inf).  Its
+    square, 0 or normal, is then within 3u, and a sum of k such squares,
+    which cannot underflow, within (k + 2) u.  A sum that overflows is an
+    infinite distance, which the nonfinite check rejects before any
+    triangle.  ``sqrt`` halves the error and adds u, so every computed
+    distance is within e = (k + 3) u of the true distance between the given
+    points, relatively.  True distances satisfy the triangle inequality,
+    hence ``d[i,k] <= (d[i,j] + d[j,k]) (1 + e) / (1 - e)``, while the
+    check's rounded ``(d[i,j] + d[j,k]) * (1 + TRIANGLE_TOL)`` is inf or at
+    least ``(d[i,j] + d[j,k]) (1 + TRIANGLE_TOL - u) (1 - u)**2``.  For
+    k < 2**20, 2e < 3e-10 is far below 1e-9, so the check cannot fail.
+    Any other input gets the full check.  An infinite or NaN coordinate
+    fails the guard, and numpy's warnings about it are silenced: the
+    nonfinite check reports it.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        squares = coords[:, None, :] - coords[None, :, :]
+        np.multiply(squares, squares, out=squares)
+        dist = squares.sum(axis=-1)
+        np.sqrt(dist, out=dist)
+        triangles_hold = bool(
+            coords.shape[1] < 2**20 and squares.max(initial=0.0) < math.inf
+            and squares.min(where=squares > 0.0, initial=math.inf) >= sys.float_info.min)
+    return dist, triangles_hold
 
 
 def _shortest_path_closure(cost: np.ndarray) -> np.ndarray:
@@ -407,9 +466,9 @@ def generate_random(spec: RandomSpec, seed: int) -> Instance:
     """
     rng = np.random.default_rng(seed)
     n = spec.n
+    coords = dist = None
     if spec.geometry == "euclidean-plane":
         coords = rng.uniform(0.0, 1.0, size=(n, 2))
-        dist = _euclidean_matrix(coords)
     else:
         raw = rng.uniform(0.1, 2.0, size=(n, n))
         upper = np.triu(raw, 1)
@@ -422,5 +481,4 @@ def generate_random(spec: RandomSpec, seed: int) -> Instance:
     else:  # pareto: heavy-tailed, spreads points over many weight octaves
         weights = rng.pareto(1.5, size=n) + 1.0
 
-    labels = [f"p{i}" for i in range(n)]
-    return make_instance(labels, weights, dist)
+    return _instance([f"p{i}" for i in range(n)], weights, dist, coords)

@@ -306,6 +306,58 @@ class TestGen:
         assert err.startswith("error: Unable to allocate ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("geometry, metric", [("euclidean-plane", "euclidean"),
+                                                  ("random-closure", "explicit")])
+    def test_writes_euclidean_instances_as_coordinates(self, tmp_path, geometry, metric):
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--n", "6", "--geometry", geometry, "--out", str(out)]) == 0
+        assert read_json(out)["metric"]["type"] == metric
+
+
+class TestCoordinateDocuments:
+    """An explicit and a coordinate copy of one instance give the same reports,
+    except the instance's SHA-256 and the timings."""
+
+    @staticmethod
+    def assert_same_reports(tmp_path, monkeypatch, inst, runs):
+        """Run ``plan --schedule-out sched.json``, write ``strategy.json`` from
+        that schedule, then every run, on each copy; each copy is ``inst.json``
+        in its own directory, so the reported paths agree."""
+        doc = inst.to_document()
+        assert doc["metric"]["type"] == "euclidean"
+        copies = {"coords": doc,
+                  "explicit": {**doc, "metric": {"type": "explicit", "dist": inst.dist.tolist()}}}
+        outputs, digests = {}, {}
+        for name, copy in copies.items():
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("inst.json").write_text(json.dumps(copy))
+            assert main(["plan", "inst.json", "--schedule-out", "sched.json"]) == 0
+            Path("strategy.json").write_text(json.dumps(
+                {"entries": [{"schedule": read_json("sched.json"), "prob": 1.0}]}))
+            outputs[name] = [read_json("sched.json")]
+            for argv in runs:
+                assert main([*argv, "--out", "report.json"]) == 0, argv
+                report = read_json("report.json")
+                report.pop("timings")
+                digests.setdefault(name, set()).add(report["instance"].pop("sha256"))
+                outputs[name].append(report)
+        assert outputs["coords"] == outputs["explicit"]
+        assert len(digests["coords"]) == len(digests["explicit"]) == 1
+        assert digests["coords"] != digests["explicit"]
+
+    def test_plan_eval_attack_mix_and_covers(self, tmp_path, monkeypatch):
+        self.assert_same_reports(tmp_path, monkeypatch, random_instance(4, 40, "pareto"), [
+            ["validate", "inst.json"], ["plan", "inst.json"],
+            ["eval", "inst.json", "sched.json", "--p", "2", "--p", "3", "--p", "inf"],
+            ["attack", "inst.json", "sched.json"], ["mix", "inst.json", "strategy.json"],
+            ["treecover", "inst.json", "--k", "3"]])
+
+    def test_oracles(self, tmp_path, monkeypatch):
+        self.assert_same_reports(tmp_path, monkeypatch, random_instance(2, 6), [
+            ["oracle-tsp", "inst.json"], ["oracle-opt", "inst.json", "--max-period", "7"],
+            ["oracle-cover", "inst.json", "--k", "2"]])
+
 
 class TestPlan:
     def test_triangle_report(self, tmp_path, triangle_file, unit_triangle):

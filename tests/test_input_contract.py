@@ -27,7 +27,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patrolsched import (RandomSpec, Schedule, absence_profile, brute_force_weighted_opt,
-                         minimum_spanning_tree, success_probability, validate_metric)
+                         instance_from_document, minimum_spanning_tree, success_probability,
+                         validate_metric)
 from patrolsched.cli import main
 from patrolsched.oracle import BRUTE_FORCE_MAX_PERIOD
 from patrolsched.planner import build_lists
@@ -52,11 +53,20 @@ SPLICE = "@@splice@@"
 
 
 def documents(n: int, seed: int, metric: str) -> dict[str, object]:
-    """A valid instance (explicit or euclidean metric), schedule and strategy."""
-    doc = random_instance(seed, n).to_document()
-    if metric == "euclidean":
-        coords = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
-        doc["metric"] = {"type": "euclidean", "coords": coords.tolist()}
+    """A valid instance (explicit or euclidean metric), schedule and strategy.
+
+    Generated instances have at least three points, so one- and two-point
+    instances are built by hand.
+    """
+    if n >= 3:
+        inst = random_instance(seed, n)
+    else:
+        inst = instance_from_document({
+            "labels": ["p0", "p1"][:n], "weights": [1.0, 0.5][:n],
+            "metric": {"type": "euclidean", "coords": [[0.0, 0.0], [3.0, 4.0 + seed]][:n]}})
+    doc = inst.to_document()
+    if metric == "explicit":
+        doc["metric"] = {"type": "explicit", "dist": inst.dist.tolist()}
     labels = doc["labels"]
     return {"instance": doc,
             "schedule": {"visits": labels},
@@ -97,7 +107,7 @@ def mutated(doc, path, mutant: str) -> bytes:
 @st.composite
 def mutations(draw):
     kind = draw(st.sampled_from(KINDS))
-    n, seed = draw(st.integers(3, 6)), draw(st.integers(0, 3))
+    n, seed = draw(st.integers(1, 6)), draw(st.integers(0, 3))
     metric = draw(st.sampled_from(("explicit", "euclidean")))
     doc = documents(n, seed, metric)[kind]
     path = draw(st.sampled_from(list(node_paths(doc))))
@@ -118,6 +128,9 @@ def workdir(tmp_path_factory):
 @example(case=("instance", 3, 0, "euclidean", ("metric", "coords", 1, 0), "infinity"))
 @example(case=("instance", 3, 0, "explicit", ("weights", 2), "int-5000"))
 @example(case=("schedule", 5, 2, "explicit", ("visits", 1), "deep-1000"))
+# mix on a one-point instance once printed a UserWarning about its zero cost
+@example(case=("schedule", 1, 0, "euclidean", ("visits", 0), "number"))
+@example(case=("instance", 2, 1, "explicit", ("metric", "dist", 0, 1), "number"))
 def test_every_command_runs_or_fails_with_one_error_line(workdir, case):
     kind, n, seed, metric, path, mutant = case
     files = {}

@@ -1,6 +1,7 @@
 """Instance construction, metric validation, JSON round-trips, generation."""
 from __future__ import annotations
 
+import gc
 import json
 import math
 
@@ -14,8 +15,9 @@ from patrolsched import (GEOMETRIES, WEIGHT_LAWS, InstanceFormatError,
                          RandomSpec, generate_random, instance_from_document,
                          load_instance, make_instance, serialize_instance,
                          validate_metric)
-from patrolsched.instance import (_TRIANGLE_TILE, _shortest_path_closure,
-                                  _some_triangle_violates, dumps, loads)
+from patrolsched.instance import (_TRIANGLE_TILE, _euclidean_matrix, _metric_report,
+                                  _shortest_path_closure, _some_triangle_violates, dumps,
+                                  loads)
 from conftest import random_instance, reference_validate_metric
 
 
@@ -248,6 +250,26 @@ class TestDocuments:
         with pytest.raises(ValueError, match=r"^report field a\[0\] is nan$"):
             dumps({"b": 1.0, "a": [math.nan]}, "report")
 
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_parsing_pauses_the_collector_and_restores_it(self, collecting, monkeypatch):
+        parse, seen = json.loads, []
+
+        def spy(text):
+            seen.append(gc.isenabled())
+            return parse(text)
+        monkeypatch.setattr(json, "loads", spy)
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert loads(b"[1]", "x.json") == [1]
+            assert gc.isenabled() is collecting
+            with pytest.raises(InstanceFormatError, match="maximum recursion depth"):
+                loads("[" * 100_000 + "]" * 100_000, "x.json")
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen == [False, False]
+
     def test_bytes_are_read_as_strict_utf_8(self):
         assert loads('{"a": "\u00e9"}'.encode(), "x.json") == {"a": "\u00e9"}
         with pytest.raises(InstanceFormatError,
@@ -322,3 +344,98 @@ class TestGenerateRandom:
 def test_generated_instances_always_metric(seed, n, geometry):
     inst = generate_random(RandomSpec(n=n, geometry=geometry), seed)
     assert validate_metric(inst.dist).ok
+
+
+def parent_euclidean_matrix(coords: np.ndarray) -> np.ndarray:
+    """The distance matrix generated instances had before they kept their
+    coordinates."""
+    with np.errstate(over="ignore"):
+        diff = coords[:, None, :] - coords[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=-1))
+
+
+class TestCoordinateInstances:
+    @pytest.mark.parametrize("n", [160, 280, 1000, 2000])
+    def test_round_trip_is_bit_identical_to_the_generated_matrix(self, n):
+        inst = random_instance(1, n)
+        coords = np.random.default_rng(1).uniform(0.0, 1.0, size=(n, 2))
+        assert np.array_equal(inst.coords, coords)
+        assert np.array_equal(inst.dist, parent_euclidean_matrix(coords))
+        text = serialize_instance(inst)
+        assert json.loads(text)["metric"] == {"type": "euclidean", "coords": coords.tolist()}
+        again = load_instance(text)
+        assert np.array_equal(again.dist, inst.dist)
+        assert np.array_equal(again.coords, coords)
+        assert serialize_instance(again) == text
+
+    def test_each_metric_form_is_written_back_as_it_was_read(self, unit_triangle):
+        assert unit_triangle.coords is None
+        assert json.loads(serialize_instance(unit_triangle))["metric"]["type"] == "explicit"
+        closure = random_instance(1, 12, geometry="random-closure")
+        assert closure.coords is None
+        assert closure.to_document()["metric"] == {"type": "explicit",
+                                                   "dist": closure.dist.tolist()}
+        doc = {"labels": ["a", "b"], "weights": [1.0, 1.0],
+               "metric": {"type": "euclidean", "coords": [[0, 0], [3, 4]]}}
+        inst = instance_from_document(doc)
+        assert inst.to_document()["metric"] == {"type": "euclidean",
+                                                "coords": [[0.0, 0.0], [3.0, 4.0]]}
+        with pytest.raises(ValueError):
+            inst.coords[0, 0] = 1.0
+
+    @pytest.mark.parametrize("scale, holds", [
+        (1.0, True), (1e-150, True), (1e150, True),
+        (1e-160, False),  # squares below the smallest normal float
+        (1e160, False),  # squares past the largest float
+    ])
+    def test_guard_holds_exactly_where_every_square_is_normal(self, scale, holds):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [0.0, 0.0]]) * scale
+        assert _euclidean_matrix(coords)[1] is holds
+
+    def test_guard_fails_on_a_coordinate_that_is_not_finite(self):
+        for bad in (math.inf, math.nan):
+            assert _euclidean_matrix(np.array([[0.0, 0.0], [bad, 1.0]]))[1] is False
+
+    def test_duplicate_points_report_as_their_explicit_copy(self):
+        coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
+        labels, weights = list("abcdef"), [1.0] * 6
+        with pytest.raises(MetricViolationError) as from_coords:
+            instance_from_document({"labels": labels, "weights": weights,
+                                    "metric": {"type": "euclidean", "coords": coords}})
+        dist = parent_euclidean_matrix(np.array(coords))
+        with pytest.raises(MetricViolationError) as explicit:
+            instance_from_document({"labels": labels, "weights": weights,
+                                    "metric": {"type": "explicit", "dist": dist.tolist()}})
+        assert from_coords.value.report == explicit.value.report == validated(dist)
+        assert from_coords.value.report.counts == {"offdiagonal": 4}
+
+
+@st.composite
+def coordinate_sets(draw):
+    """2 to 12 points in 1 to 3 dimensions, scaled by 10**k for k in
+    [-160, 160]: small integers (duplicate points, equal x or y), arbitrary
+    floats, or points nearly on one line, where the triangle inequality is
+    tight."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["grid", "floats", "line"]))
+    if kind == "grid":
+        values = st.integers(-3, 3).map(float)
+    else:
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True)
+    coords = np.array(draw(st.lists(st.lists(values, min_size=k, max_size=k),
+                                    min_size=n, max_size=n)))
+    if kind == "line":
+        ts = coords[:, :1]
+        direction = coords[0] if coords[0].any() else np.ones(k)
+        coords = ts * direction + coords * 1e-12
+    return coords * 10.0 ** draw(st.integers(-160, 160))
+
+
+@settings(max_examples=400, deadline=None)
+@given(coords=coordinate_sets())
+def test_guard_never_skips_a_triangle_that_fails(coords):
+    dist, holds = _euclidean_matrix(coords)
+    assert np.array_equal(dist, parent_euclidean_matrix(coords))
+    if holds and np.isfinite(dist).all():
+        assert not _some_triangle_violates(dist)
+    assert _metric_report(dist, holds) == validate_metric(dist)
