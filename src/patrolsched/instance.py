@@ -24,7 +24,8 @@ TRIANGLE_TOL = 1e-9
 
 # Rows per tile of the triangle fast path (_some_triangle_violates): the
 # running minimum of a tile is _TRIANGLE_TILE x n doubles, small enough to stay
-# in cache while every middle point j passes over it.
+# in cache while every middle point j passes over it.  _euclidean_matrix squares
+# coordinate differences in blocks of as many rows.
 _TRIANGLE_TILE = 64
 
 # How many witnesses per violation kind a MetricReport keeps.  Counts are
@@ -237,14 +238,14 @@ class Instance:
 
 
 def _float_array(value: Any, name: str) -> np.ndarray:
-    """``value`` as a float array, or an InstanceFormatError naming ``name``.
+    """``value`` as a fresh float array, or an InstanceFormatError naming ``name``.
 
     numpy raises TypeError for a non-number such as a JSON object,
     OverflowError for an integer past the float range, and ValueError for
     ragged rows or a string that is not a number.
     """
     try:
-        return np.asarray(value, dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, OverflowError, ValueError):
         raise InstanceFormatError(
             f"'{name}' must be an array of numbers with rows of equal length") from None
@@ -252,17 +253,23 @@ def _float_array(value: Any, name: str) -> np.ndarray:
 
 def make_instance(labels: Sequence[str], weights: Sequence[float],
                   dist: np.ndarray) -> Instance:
-    """Build an Instance: normalize weights (max becomes 1) and validate."""
-    return _instance(labels, weights, dist, None)
+    """Build an Instance: normalize weights (max becomes 1) and validate.
+    The instance keeps a copy of ``dist``."""
+    return _instance(labels, weights, _float_array(dist, "dist"), None)
 
 
 def _instance(labels: Sequence[str], weights: Sequence[float], dist: np.ndarray | None,
               coords: np.ndarray | None) -> Instance:
     """:func:`make_instance` on the matrix ``dist`` or, when ``dist`` is None,
     on the euclidean distances between the rows of ``coords``, one per
-    label, which the instance keeps.  Every check runs, except that
-    :func:`_euclidean_matrix`'s guard may show the triangle tile pass
-    cannot fail."""
+    label.  Every check runs, except that :func:`_euclidean_matrix`'s guard
+    may show the triangle tile pass cannot fail.
+
+    The instance takes ``dist`` and ``coords`` as they are, and freezes
+    them: each caller passes a fresh float array that nothing else holds
+    (:func:`_float_array`'s conversion, a generated array, or
+    :func:`_euclidean_matrix`'s result), so no array is converted or
+    copied twice."""
     labels = tuple(str(x) for x in labels)
     if not labels:
         raise InstanceFormatError("instance needs at least one point")
@@ -286,15 +293,13 @@ def _instance(labels: Sequence[str], weights: Sequence[float], dist: np.ndarray 
     triangles_hold = False
     if dist is None:
         dist, triangles_hold = _euclidean_matrix(coords)
-    d = _float_array(dist, "dist")
-    if d.shape != (len(labels), len(labels)):
+    if dist.shape != (len(labels), len(labels)):
         raise InstanceFormatError(
-            f"expected a {len(labels)}x{len(labels)} distance matrix, got shape {d.shape}")
-    report = _metric_report(d, triangles_hold)
+            f"expected a {len(labels)}x{len(labels)} distance matrix, got shape {dist.shape}")
+    report = _metric_report(dist, triangles_hold)
     if not report.ok:
         raise MetricViolationError(report)
-    return Instance(labels=labels, weights=w.copy(), dist=d.copy(),
-                    coords=None if coords is None else coords.copy())
+    return Instance(labels=labels, weights=w, dist=dist, coords=coords)
 
 
 def instance_from_document(doc: Any) -> Instance:
@@ -324,7 +329,7 @@ def instance_from_document(doc: Any) -> Instance:
     if kind == "explicit":
         if "dist" not in metric:
             raise InstanceFormatError("explicit metric needs a 'dist' matrix")
-        return make_instance(labels, weights, _float_array(metric["dist"], "metric.dist"))
+        return _instance(labels, weights, _float_array(metric["dist"], "metric.dist"), None)
     if kind == "euclidean":
         if "coords" not in metric:
             raise InstanceFormatError("euclidean metric needs a 'coords' array")
@@ -420,15 +425,24 @@ def _euclidean_matrix(coords: np.ndarray) -> tuple[np.ndarray, bool]:
     Any other input gets the full check.  An infinite or NaN coordinate
     fails the guard, and numpy's warnings about it are silenced: the
     nonfinite check reports it.
+
+    The squares are taken ``_TRIANGLE_TILE`` rows at a time, each block's
+    sums written straight into the result, so the temporary is
+    ``_TRIANGLE_TILE`` x n x k doubles rather than n x n x k.  Every
+    distance is still one ``sum`` over its own k squares, the same bits as
+    summing the whole array at once, and the guard is folded over the
+    blocks.
     """
+    dist, triangles_hold = np.empty((len(coords),) * 2), coords.shape[1] < 2**20
     with np.errstate(invalid="ignore", over="ignore"):
-        squares = coords[:, None, :] - coords[None, :, :]
-        np.multiply(squares, squares, out=squares)
-        dist = squares.sum(axis=-1)
+        for i0 in range(0, len(coords), _TRIANGLE_TILE):
+            squares = coords[i0:i0 + _TRIANGLE_TILE, None] - coords
+            np.multiply(squares, squares, out=squares)
+            squares.sum(axis=-1, out=dist[i0:i0 + _TRIANGLE_TILE])
+            triangles_hold = bool(triangles_hold and squares.max(initial=0.0) < math.inf
+                                  and squares.min(where=squares > 0.0, initial=math.inf)
+                                  >= sys.float_info.min)
         np.sqrt(dist, out=dist)
-        triangles_hold = bool(
-            coords.shape[1] < 2**20 and squares.max(initial=0.0) < math.inf
-            and squares.min(where=squares > 0.0, initial=math.inf) >= sys.float_info.min)
     return dist, triangles_hold
 
 

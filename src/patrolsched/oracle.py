@@ -269,7 +269,8 @@ def _grow_spanning_tree(
     (distance, u, v) order of ``minimum_spanning_tree``: the tree and the
     cost, summed in that order, are the same as a fresh MST of the union.
     """
-    iu, iv = np.triu_indices(new.size, k=1)
+    at = np.arange(new.size)
+    iu, iv = np.nonzero(at[:, None] < at)
     a = np.concatenate([np.repeat(new, old.size), new[iu]])
     b = np.concatenate([np.tile(old, new.size), new[iv]])
     us, vs, ws = _spanning_forest(dist, np.concatenate([old, new]),

@@ -102,8 +102,9 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
 
     On each interval between consecutive sorted absence lengths the utility
     is a downward parabola in t, so the maximum is at an interval endpoint or
-    the parabola vertex.  Every candidate is scored, in blocks of at most
-    :data:`SCAN_BLOCK` pairs; ties resolve to the smallest duration.
+    the parabola vertex.  Every distinct candidate is scored once, in blocks
+    of at most :data:`SCAN_BLOCK` pairs; ties resolve to the smallest
+    duration.  t = 0 is not scored: its utility is 0, the initial best.
 
     When the best candidate's w * t * excess, or its quotient by the period,
     is not a finite normal float, the scan under- or overflowed: the gaps are
@@ -119,9 +120,7 @@ def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tupl
     lo = np.concatenate(([0.0], ls[:-1]))
     # on (lo[r], ls[r]) the gaps ls[r:] are longer than t
     vertex = suffix / (2.0 * (m - np.arange(m)))
-    grows = ls > lo
-    inside = grows & (lo < vertex) & (vertex < ls)
-    candidates = np.sort(np.concatenate((lo[grows], ls[grows], vertex[inside])))
+    candidates = np.unique(np.concatenate((ls, vertex[(lo < vertex) & (vertex < ls)])))
 
     best_t = best_wte = best_u = 0.0
     rows = max(1, SCAN_BLOCK // m)

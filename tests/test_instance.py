@@ -4,6 +4,8 @@ from __future__ import annotations
 import gc
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +215,33 @@ class TestMakeInstance:
         assert unit_triangle.index("b") == 1
         with pytest.raises(ValueError):
             unit_triangle.index("zz")
+
+    def test_keeps_its_own_copy_of_the_callers_matrix(self):
+        d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        inst = make_instance(["a", "b", "c"], [1.0, 1.0, 1.0], d)
+        assert not np.shares_memory(inst.dist, d)
+        assert d.flags.writeable
+        d[0, 1] = d[1, 0] = 5.0
+        assert inst.dist[0, 1] == inst.dist[1, 0] == 1.0
+
+
+def built_instances():
+    """Instances from every way in: both metric forms of a document, and
+    both generated geometries."""
+    doc = {"labels": ["a", "b", "c"], "weights": [2, 1, 1]}
+    yield load_instance(json.dumps({**doc, "metric": {
+        "type": "explicit", "dist": [[0, 3, 4], [3, 0, 5], [4, 5, 0]]}}))
+    yield load_instance(json.dumps({**doc, "metric": {
+        "type": "euclidean", "coords": [[0, 0], [3, 0], [0, 4]]}}))
+    for geometry in GEOMETRIES:
+        yield random_instance(1, 12, geometry=geometry)
+
+
+@pytest.mark.parametrize("inst", built_instances())
+def test_every_array_is_frozen_and_owns_its_data(inst):
+    for array in [inst.weights, inst.dist] + ([] if inst.coords is None else [inst.coords]):
+        assert not array.flags.writeable
+        assert array.flags.owndata
 
 
 class TestDocuments:
@@ -439,3 +468,67 @@ def test_guard_never_skips_a_triangle_that_fails(coords):
     if holds and np.isfinite(dist).all():
         assert not _some_triangle_violates(dist)
     assert _metric_report(dist, holds) == validate_metric(dist)
+
+
+def full_array_guard(coords: np.ndarray) -> bool:
+    """:func:`_euclidean_matrix`'s guard over the whole n x n x k array of
+    squared coordinate differences at once."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = coords[:, None, :] - coords[None, :, :]
+        squares = diff * diff
+        return bool(coords.shape[1] < 2**20 and squares.max(initial=0.0) < math.inf
+                    and squares.min(where=squares > 0.0, initial=math.inf)
+                    >= sys.float_info.min)
+
+
+def coordinate_variants(n: int, k: int):
+    """Normal points with the last a copy of the first, at scales that keep
+    the guard or fail it; one pair a single ulp apart at 1e-140, whose
+    subnormal square sits in the first row block only; and one infinite
+    and one NaN coordinate."""
+    coords = np.random.default_rng(n * 100 + k).normal(size=(n, k))
+    coords[-1] = coords[0]
+    for scale in (1.0, 1e-200, 1e-150, 1e150, 1e200):
+        yield coords * scale
+    if n > 2:
+        near = coords * 1e-140
+        near[1] = np.nextafter(near[0], math.inf)
+        yield near
+    for bad, row in ((math.inf, n // 2), (math.nan, n - 1)):
+        broken = coords.copy()
+        broken[row, k - 1] = bad
+        yield broken
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 300])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 17, 40])
+def test_row_blocks_give_the_full_array_bits_and_guard(n, k):
+    for coords in coordinate_variants(n, k):
+        dist, holds = _euclidean_matrix(coords)
+        with np.errstate(invalid="ignore"):
+            expected = parent_euclidean_matrix(coords)
+        assert np.array_equal(dist, expected, equal_nan=True)
+        assert holds is full_array_guard(coords)
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """``call()``'s result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadMemory:
+    """2000 points: a 32 MB matrix, built in row blocks of a few MB."""
+
+    def test_coordinate_distances_take_little_beyond_their_result(self):
+        coords = np.random.default_rng(1).uniform(0.0, 1.0, size=(2000, 2))
+        (dist, _), peak = traced_peak(lambda: _euclidean_matrix(coords))
+        assert peak <= 1.25 * dist.nbytes
+
+    def test_loading_a_coordinate_file_takes_little_beyond_its_matrix(self):
+        data = (serialize_instance(random_instance(1, 2000)) + "\n").encode()
+        inst, peak = traced_peak(lambda: load_instance(data))
+        assert peak <= 1.5 * inst.dist.nbytes
