@@ -122,25 +122,39 @@ def _metric_report(d: np.ndarray, triangles_hold: bool) -> MetricReport:
     counts: dict[str, int] = {}
 
     def record(kind: str, mask: np.ndarray,
-               describe: Callable[..., tuple[tuple[int, ...], str]]) -> None:
-        """Count ``mask``'s hits as ``kind``; ``describe(*index)`` gives the
-        (where, message) of a hit, asked only while the kind has room."""
+               describe: Callable[..., tuple[tuple[int, ...], str]],
+               upper: bool = False) -> None:
+        """Count ``mask``'s hits as ``kind``, only those above the diagonal
+        if ``upper``; ``describe(*index)`` gives the (where, message) of a
+        hit, asked only while the kind has room.  An ``upper`` mask is
+        cleared on and below the diagonal in place, and only if it has hits
+        off the diagonal."""
+        found = int(np.count_nonzero(mask))
+        if upper:
+            found -= int(np.count_nonzero(mask.diagonal()))
+            if found:
+                for i in range(n):
+                    mask[i, :i + 1] = False
+                found = int(np.count_nonzero(mask))
         held = counts.get(kind, 0)
-        counts[kind] = held + int(np.count_nonzero(mask))
-        if held < _WITNESS_CAP:
+        counts[kind] = held + found
+        if found and held < _WITNESS_CAP:
             for index in np.argwhere(mask)[:_WITNESS_CAP - held].tolist():
                 violations.append(Violation(kind, *describe(*index)))
 
+    # One n x n mask at a time: each goes as soon as it is counted (numpy
+    # inverts the isfinite temporary in place).
     record("nonfinite", ~np.isfinite(d), lambda i, j: ((i, j), f"dist[{i}][{j}] is not finite"))
 
     if not counts["nonfinite"]:
-        record("asymmetry", np.triu(d != d.T, 1), lambda i, j: (
-            (i, j), f"dist[{i}][{j}]={float(d[i, j])!r} != dist[{j}][{i}]={float(d[j, i])!r}"))
+        record("asymmetry", d != d.T, lambda i, j: (
+            (i, j), f"dist[{i}][{j}]={float(d[i, j])!r} != dist[{j}][{i}]={float(d[j, i])!r}"),
+            upper=True)
         record("diagonal", np.diagonal(d) != 0.0, lambda i: (
             (i,), f"dist[{i}][{i}]={float(d[i, i])!r} must be 0"))
-        record("offdiagonal", np.triu(d <= 0.0, 1), lambda i, j: (
+        record("offdiagonal", d <= 0.0, lambda i, j: (
             (i, j), f"zero or negative distance {float(d[i, j])!r} "
-                    f"between distinct points {i} and {j}"))
+                    f"between distinct points {i} and {j}"), upper=True)
 
         # d[i,k] <= (d[i,j] + d[j,k]) * (1 + TRIANGLE_TOL) must hold for every j.
         # A sum past the largest double is inf, which no distance exceeds.

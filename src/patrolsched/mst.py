@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +46,39 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
+# Kruskal sorts its candidates in bands (_bands): the first holds about
+# _BAND candidates per vertex, each later one _BAND times as many as the one
+# before.  On all-pairs forests of generated equal-weight instances (n = 160
+# to 2000, both geometries), points on a line and an L1 grid, factors 2 to 8
+# all ran 2.5 to 10 times faster than one sort of every pair and within 1.5
+# times of one another; on two far-apart clusters 4 was no slower than one
+# sort.  4 is the smallest factor that keeps every block of up to 9 points
+# (36 pairs) to a single sort.
+_BAND = 4
+
+
+def _bands(us: np.ndarray, vs: np.ndarray, ws: np.ndarray, size: int,
+           ) -> Iterator[np.ndarray]:
+    """Candidate positions in (ws, us, vs) order, one weight band at a time.
+
+    A band takes every remaining candidate at or below its cut, the
+    ``size``-th smallest remaining weight, ties at the cut included; the
+    next band's ``size`` is ``_BAND`` times larger.  So every candidate of a
+    later band weighs strictly more than every candidate of an earlier one,
+    and the bands, each lexsorted, concatenate to the full (ws, us, vs)
+    order.
+    """
+    rest, rw = np.arange(ws.size), ws
+    while rest.size:
+        if rest.size > size:
+            low = rw <= np.partition(rw, size - 1)[size - 1]
+            band, rest, rw = rest[low], rest[~low], rw[~low]
+        else:
+            band, rest = rest, rest[:0]
+        yield band[np.lexsort((vs[band], us[band], ws[band]))]
+        size *= _BAND
+
+
 def _spanning_forest(dist: np.ndarray, vertices: Sequence[int],
                      us: np.ndarray | None = None, vs: np.ndarray | None = None,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -56,6 +89,13 @@ def _spanning_forest(dist: np.ndarray, vertices: Sequence[int],
     order, so ties are broken the same way on every run, and the accepted
     edges come back in that order.  The union-find runs over the positions
     of the points in ``vertices``.
+
+    Only the candidates Kruskal reaches are sorted: :func:`_bands` cuts them
+    in bands of rising weight, the first of ``_BAND`` times as many
+    candidates as vertices, and the next band is cut only while the forest
+    does not span.  The bands in sequence are exactly the full (distance,
+    u, v) order, so Kruskal accepts the same edges in the same order and
+    stops at the same edge as one sort of every candidate would.
     """
     verts = np.asarray(vertices, dtype=np.int64)
     if us is None:
@@ -67,16 +107,21 @@ def _spanning_forest(dist: np.ndarray, vertices: Sequence[int],
         pos[verts] = np.arange(verts.size)
         pu, pv = pos[us], pos[vs]
     ws = dist[us, vs]
-    order = np.lexsort((vs, us, ws))
     parent = list(range(verts.size))
     keep: list[int] = []
-    for i, a, b in zip(order.tolist(), pu[order].tolist(), pv[order].tolist()):
-        a, b = _find(parent, a), _find(parent, b)
-        if a != b:
-            parent[b] = a
-            keep.append(i)
-            if len(keep) == verts.size - 1:
-                break
+    size = _BAND * verts.size
+    # up to ``size`` candidates are one sort, with no partition
+    bands = (np.lexsort((vs, us, ws)),) if ws.size <= size else _bands(us, vs, ws, size)
+    for order in bands:
+        for i, a, b in zip(order.tolist(), pu[order].tolist(), pv[order].tolist()):
+            a, b = _find(parent, a), _find(parent, b)
+            if a != b:
+                parent[b] = a
+                keep.append(i)
+                if len(keep) == verts.size - 1:
+                    break
+        if len(keep) == verts.size - 1:
+            break
     kept = np.array(keep, dtype=np.intp)
     return us[kept], vs[kept], ws[kept]
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from patrolsched import (Schedule, euler_shortcut, make_instance,
                          minimum_spanning_tree, period_length)
+from patrolsched import mst as mst_module
+from patrolsched.mst import _find, _spanning_forest
 from patrolsched.oracle import lower_bound
 from conftest import left_fold, random_instance, random_metric_instance
 import numpy as np
@@ -186,3 +188,114 @@ def test_shortcut_tour_at_most_twice_tree_cost(seed, n):
     tour = euler_shortcut(tree, min(tree.vertices))
     assert sorted(tour.visits) == list(range(n))
     assert period_length(tour, inst) <= 2.0 * tree.cost * (1 + 1e-12)
+
+
+def full_sort_spanning_forest(dist, vertices, us=None, vs=None):
+    """``_spanning_forest`` as it was before weight bands: one lexsort of every
+    candidate, kept verbatim as the reference the bands must reproduce."""
+    verts = np.asarray(vertices, dtype=np.int64)
+    if us is None:
+        at = np.arange(verts.size)
+        pu, pv = np.nonzero(at[:, None] < at)
+        us, vs = verts[pu], verts[pv]
+    else:
+        pos = np.empty(dist.shape[0], dtype=np.int64)
+        pos[verts] = np.arange(verts.size)
+        pu, pv = pos[us], pos[vs]
+    ws = dist[us, vs]
+    order = np.lexsort((vs, us, ws))
+    parent = list(range(verts.size))
+    keep: list[int] = []
+    for i, a, b in zip(order.tolist(), pu[order].tolist(), pv[order].tolist()):
+        a, b = _find(parent, a), _find(parent, b)
+        if a != b:
+            parent[b] = a
+            keep.append(i)
+            if len(keep) == verts.size - 1:
+                break
+    kept = np.array(keep, dtype=np.intp)
+    return us[kept], vs[kept], ws[kept]
+
+
+def _band_matrix(shape, n, rng):
+    """A distance matrix of ``n`` points whose weights tie often or jump once."""
+    if shape == "ints":  # small integers: ties straddle every band cut
+        d = np.triu(rng.integers(1, 4, size=(n, n)), 1).astype(float)
+        return d + d.T
+    if shape == "grid":  # distinct points of an L1 grid
+        side = int(np.ceil(np.sqrt(n))) + 1
+        xy = np.array([divmod(int(c), side) for c in rng.permutation(side * side)[:n]], float)
+        return np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+    if shape == "line":  # distinct integer points on a line
+        x = rng.permutation(3 * n)[:n].astype(float)
+        return np.abs(x[:, None] - x[None, :])
+    # two far-apart clusters: every bridge edge outweighs every edge inside
+    xy = rng.random((n, 2))
+    xy[rng.permutation(n)[:n // 2]] += 1000.0
+    return np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+
+
+def _grow_candidates(old, new, tree_us, tree_vs):
+    """The candidates ``_grow_spanning_tree`` hands Kruskal: MST(old) plus
+    every edge touching ``new``."""
+    at = np.arange(new.size)
+    iu, iv = np.nonzero(at[:, None] < at)
+    a = np.concatenate([np.repeat(new, old.size), new[iu]])
+    b = np.concatenate([np.tile(old, new.size), new[iv]])
+    return (np.concatenate([old, new]), np.concatenate([tree_us, np.minimum(a, b)]),
+            np.concatenate([tree_vs, np.maximum(a, b)]))
+
+
+@st.composite
+def band_cases(draw):
+    """(dist, vertices, us, vs): all pairs of a vertex subset, a growth step's
+    candidates, or candidates that join only within two groups."""
+    shape = draw(st.sampled_from(["ints", "grid", "line", "clusters"]))
+    n = draw(st.integers(64, 120) if shape == "clusters" else st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dist = _band_matrix(shape, n, rng)
+    kind = draw(st.sampled_from(["all", "grow", "nospan"]))
+    if kind == "all":
+        size = n if shape == "clusters" else draw(st.integers(1, n))
+        return dist, np.sort(rng.permutation(n)[:size]), None, None
+    perm = rng.permutation(n)
+    split = draw(st.integers(1, n - 1))
+    if kind == "grow":
+        old, new = perm[:split], perm[split:]
+        tree_us, tree_vs, _ = full_sort_spanning_forest(dist, old)
+        return (dist, *_grow_candidates(old, new, tree_us, tree_vs))
+    verts = np.sort(perm)
+    side = np.zeros(n, dtype=bool)
+    side[perm[:split]] = True
+    at = np.arange(n)
+    pu, pv = np.nonzero((at[:, None] < at) & (side[:, None] == side[None, :]))
+    return dist, verts, verts[pu], verts[pv]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=band_cases())
+def test_weight_bands_keep_the_full_sort_forest(case):
+    dist, verts, us, vs = case
+    got = _spanning_forest(dist, verts, us, vs)
+    want = full_sort_spanning_forest(dist, verts, us, vs)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_far_apart_clusters_run_three_bands(monkeypatch):
+    rng = np.random.default_rng(7)
+    dist = _band_matrix("clusters", 96, rng)
+    seen, bands = [], mst_module._bands
+
+    def counted(*args):
+        for band in bands(*args):
+            seen.append(band)
+            yield band
+
+    monkeypatch.setattr(mst_module, "_bands", counted)
+    got = _spanning_forest(dist, range(96))
+    monkeypatch.undo()
+    assert len(seen) >= 3
+    want = full_sort_spanning_forest(dist, range(96))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert (dist[got[0], got[1]] > 500.0).sum() == 1  # the one bridge, in the last band
+
