@@ -50,7 +50,7 @@ def _find(parent: list[int], x: int) -> int:
 # _BAND candidates per vertex, each later one _BAND times as many as the one
 # before.  On all-pairs forests of generated equal-weight instances (n = 160
 # to 2000, both geometries), points on a line and an L1 grid, factors 2 to 8
-# all ran 2.5 to 10 times faster than one sort of every pair and within 1.5
+# all ran 2.4 to 10 times faster than one sort of every pair and within 2
 # times of one another; on two far-apart clusters 4 was no slower than one
 # sort.  4 is the smallest factor that keeps every block of up to 9 points
 # (36 pairs) to a single sort.
