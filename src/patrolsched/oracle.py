@@ -8,6 +8,7 @@ cover are tested against them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Any, Sequence
@@ -107,6 +108,27 @@ def _closing_costs(table: tuple[list[np.ndarray], np.ndarray], dist: np.ndarray,
     return _paths_to(table, (1 << (size - 1)) - 1)[:size - 1] + dist[1:size, 0]
 
 
+def _walk_back(table: tuple[list[np.ndarray], np.ndarray], dist: np.ndarray,
+               last: int) -> list[int]:
+    """The cheapest tour through every point of ``dist`` that closes from
+    point ``last``, as positions starting at point 0; ``table`` is the
+    Held-Karp table of ``dist``.
+
+    It walks the table back from the full mask, each step to the previous
+    point whose path plus hop is least, ties to the lowest point: the sums
+    the table took its minima over, so the tour's cost is the table's.
+    """
+    order = [last]
+    mask, j = (1 << (dist.shape[0] - 1)) - 1, last - 1
+    while mask != 1 << j:
+        mask ^= 1 << j
+        j = int(np.argmin(_paths_to(table, mask) + dist[1:, j + 1]))
+        order.append(j + 1)
+    order.append(0)
+    order.reverse()
+    return order
+
+
 @np.errstate(over="ignore")  # a tour too long for a double costs inf
 def held_karp_tsp(inst: Instance, subset: Sequence[int] | None = None) -> OracleResult:
     """Exact TSP over ``subset`` (at most 16 points).
@@ -130,14 +152,7 @@ def held_karp_tsp(inst: Instance, subset: Sequence[int] | None = None) -> Oracle
     if not math.isfinite(value):
         raise ValueError(f"TSP cost is not finite ({value!r}): the distances "
                          "are too large to sum in floating point")
-    order = [j + 1]
-    mask = (1 << (m - 1)) - 1
-    while mask != 1 << j:
-        mask ^= 1 << j
-        j = int(np.argmin(_paths_to(table, mask) + sub[1:, j + 1]))
-        order.append(j + 1)
-    order.append(0)
-    order.reverse()
+    order = _walk_back(table, sub, j + 1)
     return OracleResult(value, Schedule(tuple(verts[i] for i in order)), bound)
 
 
@@ -301,6 +316,59 @@ def _tour_length(dist: np.ndarray, stops: np.ndarray) -> float:
     return _fold(dist[stops, np.concatenate((stops[1:], stops[:1]))].tolist())
 
 
+def _insert_cheapest(dist: np.ndarray, tour: np.ndarray, point: int) -> np.ndarray:
+    """``tour`` with ``point`` put into the hop it lengthens least, ties to
+    the earliest hop; the closing hop comes last, so ``tour[0]`` stays first."""
+    after = np.roll(tour, -1)
+    at = int(np.argmin(dist[tour, point] + dist[point, after] - dist[tour, after]))
+    return np.insert(tour, at + 1, point)
+
+
+# Rows per block of _leaf_distances: a block gathers at most _LEAF_ROWS x n
+# distances, about 1 MB at n = 2000.
+_LEAF_ROWS = 64
+
+
+def _leaf_distances(dist: np.ndarray, order: np.ndarray, start: int, stop: int,
+                    ) -> np.ndarray:
+    """Distance from each of the ranked points ``order[start:stop]`` to its
+    nearest earlier-ranked point; ``start`` >= 1.
+
+    The rows are gathered ``_LEAF_ROWS`` at a time, each block only up to
+    its last row's rank, so no n x n copy is made.
+    """
+    leaves = np.empty(stop - start)
+    for lo in range(start, stop, _LEAF_ROWS):
+        hi = min(lo + _LEAF_ROWS, stop)
+        block = dist[order[lo:hi, None], order[:hi]]
+        block[np.arange(hi) >= np.arange(lo, hi)[:, None]] = np.inf
+        block.min(axis=1, out=leaves[lo - start:hi - start])
+    return leaves
+
+
+# The Held-Karp levels take up to two tables: a first over the largest
+# surviving level of at most _FIRST_TABLE_MAX points, whose optimal tour,
+# extended by cheapest insertion, then rules out larger levels before the
+# second is built.  Over perfbench's plan-graded inputs of seeds 1 to 3, the
+# tables built held 0.82, 0.77, 0.78, 0.81 and 0.86 of the entries one table
+# per instance holds, for cut-offs of 11 to 15 (mean over the seeds).
+_FIRST_TABLE_MAX = 12
+
+
+def _exact_levels(dist: np.ndarray, order: np.ndarray, ranked: np.ndarray,
+                  ends: list[int]) -> tuple[float, tuple[list[np.ndarray], np.ndarray],
+                                            np.ndarray]:
+    """Largest ``w * TSP`` of the levels ``ends`` (ascending, at most 16
+    points), from one table over the first ``ends[-1]`` ranked points:
+    ``(value, table, sub)``, ``sub`` the distances the table was built on.
+    """
+    sub = dist[np.ix_(order[:ends[-1]], order[:ends[-1]])]
+    table = _held_karp_table(sub)
+    value = max(float(ranked[e - 1]) * float(np.min(_closing_costs(table, sub, e)))
+                for e in ends)
+    return value, table, sub
+
+
 @np.errstate(over="ignore")  # a tour too long for a double costs inf
 def lower_bound(inst: Instance) -> float:
     """Certified lower bound on the best achievable weighted max-absence.
@@ -316,43 +384,64 @@ def lower_bound(inst: Instance) -> float:
 
     The levels are computed incrementally.  Points are ranked heaviest
     first, ties by index, so every level is a prefix of the ranking.  Above
-    16 points one MST grows level by level: by the cycle property the MST of
-    a level lies within the previous level's tree plus the edges touching
-    the level's new points, so Kruskal re-runs on just those, and the tree
-    and its cost equal a fresh MST bit for bit.  One Held-Karp table over a
-    prefix of at most 16 points, started at the heaviest point, gives the
-    exact TSP of every smaller prefix from a single column; it may differ
-    from a tour started at the lowest index by an ulp, since floating-point
-    sums depend on the start.
+    16 points one MST grows from level to level: by the cycle property the
+    MST of a level lies within an earlier level's tree plus the edges
+    touching the points added since, so Kruskal re-runs on just those, and
+    the tree and its cost equal a fresh MST bit for bit.  A Held-Karp table
+    over a prefix of at most 16 points, started at the heaviest point,
+    gives the exact TSP of every smaller prefix from a single column; it
+    may differ from a tour started at the lowest index by an ulp, since
+    floating-point sums depend on the start.
 
     With more than one level, a level whose value provably cannot exceed
     the best value found so far is skipped, so the returned float is the
-    same as evaluating every level:
+    same as evaluating every level.  (u is the unit roundoff; a float sum
+    of at most n non-negative terms, added in any order, is within a factor
+    (1 + 2u)^n of the exact sum.)
 
-    * MST levels (done first).  ``U`` is the length of a nearest-neighbour
-      tour through all n points.  Shortcutting it to a level's points gives
-      a cycle through them, and a cycle minus one edge spans them, so the
-      level's exact MST is at most the shortcut cycle.  The metric passed
-      ``validate_metric`` at ``TRIANGLE_TOL``, so each shortcut stretches
-      the cycle by at most (1 + tol)(1 + u)^3 (u the unit roundoff; at
-      most 1 + 2 tol where the check's product is subnormal), and at most
-      n shortcuts are taken.  The MST cost and ``U`` are float sums of at
-      most n non-negative terms, each within a factor (1 + 2u)^n of the
-      exact sum.  So ``reach = U * (1 + 4 tol)^(n + 2)`` is at least every
-      level's summed MST cost as real numbers, hence, rounding being
-      monotone, at least it as floats, and ``w * reach <= best`` implies
-      the level's ``w * cost <= best``.  Weights fall along the ranking
-      while ``reach`` stays, so the tree stops growing at the first such
-      level.
-    * Held-Karp levels.  The table sums a tour from the heaviest point left
-      to right, the closing hop last, and keeps the minimum over tours at
-      every step; float addition is monotone, so its value for a level is
-      at most that same sum along any one tour of the level.  The bound of
-      a level is that sum along a nearest-neighbour tour of the prefix
-      restricted to the level, exactly, with no margin.  The table is built
-      over the largest level whose bound beats ``best``, or not at all.
-      Since every table entry depends only on its sub-masks, a prefix
-      table gives the same level values as the full one, bit for bit.
+    * MST levels (done first), two tests in turn.  The tour test: ``U`` is
+      the length of a nearest-neighbour tour through all n points.
+      Shortcutting it to a level's points gives a cycle through them, and
+      a cycle minus one edge spans them, so the level's exact MST is at
+      most the shortcut cycle.  The metric passed ``validate_metric`` at
+      ``TRIANGLE_TOL``, so each shortcut stretches the cycle by at most
+      (1 + tol)(1 + u)^3 (at most 1 + 2 tol where the check's product is
+      subnormal), and at most n shortcuts are taken.  So ``reach = U *
+      (1 + 4 tol)^(n + 2)`` is at least every level's summed MST cost as
+      real numbers, hence, rounding being monotone, at least it as floats.
+      Weights fall along the ranking while ``reach`` stays, so the tree
+      stops growing at the first level with ``w * reach <= best``.
+    * The leaf test, for a level that passes the tour test.  Let k be the
+      last level computed exactly, with float cost c_k, and leaf(i) the
+      distance from the i-th ranked point to its nearest earlier-ranked
+      point.  The tree of level k plus the leaf edges of the points ranked
+      after it spans level j, so its MST is at most c_k + sum of those
+      leaf(i) as real numbers.  No shortcut is taken, so only rounding
+      needs a margin.  c_k and the leaf sum are each within (1 + 2u)^n of
+      their exact sums, adding them rounds once, the level's own float
+      cost is within (1 + 2u)^n of its exact sum, and the product with the
+      margin rounds once more: (1 + 2u)^(2n + 3) in all, which the margin
+      ``(1 + 2 eps)^(n + 2)`` (eps = 2u) exceeds even after its own
+      rounding for any n below 10^15.  Where that sum is subnormal, every
+      addition is exact and a margin of 1 suffices.  So ``(c_k + leaves) *
+      margin`` is at least the level's float cost, and a level with ``w``
+      times it ``<= best`` is skipped; its points join the next exact
+      level in one batch.  The leaf distances are taken only for levels
+      that pass the tour test.
+    * Held-Karp levels, two tables.  The table sums a tour from the
+      heaviest point left to right, the closing hop last, and keeps the
+      minimum over tours at every step; float addition is monotone, so its
+      value for a level is at most that same sum along any one tour of the
+      level, exactly, with no margin.  First that sum along a
+      nearest-neighbour tour of the prefix, restricted to each level, rules
+      levels out.  Of the levels left, one table over the largest of at
+      most ``_FIRST_TABLE_MAX`` points gives theirs, raises ``best``, and
+      walks back its optimal tour.  A larger level is kept only while its
+      weight times that tour with the points up to it added by cheapest
+      insertion, summed as the table sums it, beats ``best``, and the
+      second table is built only over the largest level kept.  Since every
+      table entry depends only on its sub-masks, a prefix table gives the
+      same level values as the full one, bit for bit.
 
     Cost O(2^15 * 15^2 + n^2 log n) at most, instead of one fresh TSP or MST
     per level.
@@ -369,28 +458,41 @@ def lower_bound(inst: Instance) -> float:
         if prune:
             tour = order[_nearest_neighbour_tour(inst.dist, order)]
             reach = _tour_length(inst.dist, tour) * (1.0 + 4.0 * TRIANGLE_TOL) ** (n + 2)
+            margin = (1.0 + 2.0 * sys.float_info.epsilon) ** (n + 2)
         empty = np.zeros(0, dtype=np.int64)
-        tree, covered = (empty, empty), 0
-        for end in mst_ends:
+        tree, cost, covered, leaves = (empty, empty), 0.0, 0, 0.0
+        for start, end in zip([1, *mst_ends], mst_ends):
             weight = float(ranked[end - 1])
             if weight * reach <= best:
                 break
+            if prune:
+                leaves += _fold(_leaf_distances(inst.dist, order, start, end).tolist())
+                if weight * ((cost + leaves) * margin) <= best:
+                    continue
             tree, cost = _grow_spanning_tree(inst.dist, tree, order[:covered],
                                              order[covered:end])
-            covered = end
+            covered, leaves = end, 0.0
             best = max(best, weight * cost)
     tsp_ends = [e for e in ends if 2 <= e <= HELD_KARP_MAX]
+    if prune and tsp_ends:
+        tour = _nearest_neighbour_tour(inst.dist, order[:tsp_ends[-1]])
+        tsp_ends = [e for e in tsp_ends if float(ranked[e - 1]) * _tour_length(
+            inst.dist, order[tour[tour < e]]) > best]
+        first = [e for e in tsp_ends if e <= _FIRST_TABLE_MAX]
+        if first and first[-1] < tsp_ends[-1]:
+            value, table, sub = _exact_levels(inst.dist, order, ranked, first)
+            best = max(best, value)
+            if best == math.inf:  # nothing beats it, and an overflowed table has no tour
+                return best
+            closing = _closing_costs(table, sub, first[-1])
+            tour = order[_walk_back(table, sub, 1 + int(np.argmin(closing)))]
+            kept = []
+            for end in tsp_ends[len(first):]:
+                for point in order[tour.size:end]:
+                    tour = _insert_cheapest(inst.dist, tour, point)
+                if float(ranked[end - 1]) * _tour_length(inst.dist, tour) > best:
+                    kept.append(end)
+            tsp_ends = kept
     if tsp_ends:
-        size = tsp_ends[-1]
-        if prune:
-            tour = _nearest_neighbour_tour(inst.dist, order[:size])
-            size = max((e for e in tsp_ends if float(ranked[e - 1]) * _tour_length(
-                inst.dist, order[tour[tour < e]]) > best), default=0)
-        if size:
-            sub = inst.dist[np.ix_(order[:size], order[:size])]
-            table = _held_karp_table(sub)
-            for end in tsp_ends:
-                if end <= size:
-                    cost = float(np.min(_closing_costs(table, sub, end)))
-                    best = max(best, float(ranked[end - 1]) * cost)
+        best = max(best, _exact_levels(inst.dist, order, ranked, tsp_ends)[0])
     return float(best)

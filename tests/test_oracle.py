@@ -338,11 +338,16 @@ def pruned_bound_instances(draw):
     usually the one that sets it; ``slack`` stretches every distance of an
     integer L1 grid, full of exact triangle equalities, by up to 0.999 of
     ``TRIANGLE_TOL``, so shortcuts use almost all the slack the validator
-    allows.
+    allows; ``arc`` puts 17 to 46 points in ranked order along three
+    quarters of a circle, so each point's nearest earlier-ranked point is
+    the one before it, every such leaf edge is an MST edge, the leaf test's
+    sum is the MST of the level it tests, and, unlike on a line, an MST
+    level can exceed the diameter; weights fall by at most half along the
+    arc, so the last levels usually set the bound.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    kind = draw(st.sampled_from(["generated", "tied", "cliff", "slack"]))
+    kind = draw(st.sampled_from(["generated", "tied", "cliff", "slack", "arc"]))
     if kind == "generated":
         n = draw(st.integers(3, 60))
         spec = RandomSpec(n=n, weight_law=draw(st.sampled_from(WEIGHT_LAWS)),
@@ -360,6 +365,15 @@ def pruned_bound_instances(draw):
         dist = random_metric_instance(rng, n).dist
         weights = np.concatenate([rng.uniform(0.9, 1.0, size=heavy),
                                   rng.uniform(1e-6, 1e-2, size=n - heavy)])
+    elif kind == "arc":
+        n = draw(st.integers(HELD_KARP_MAX + 1, HELD_KARP_MAX + 30))
+        gaps = rng.uniform(0.01, 1.0, size=n)
+        gaps[0] = 0.0
+        turn = 1.5 * np.pi * np.cumsum(gaps) / gaps.sum()
+        coords = np.stack([np.cos(turn), np.sin(turn)], axis=1)
+        dist = np.hypot(*(coords[:, None, :] - coords[None, :, :]).transpose(2, 0, 1))
+        levels = draw(st.integers(2, n))
+        weights = 1.0 - 0.5 * np.sort(rng.integers(0, levels, size=n)) / levels
     else:
         n = draw(st.integers(3, 40))
         cells = rng.choice(64, size=n, replace=False)
@@ -410,3 +424,60 @@ class TestLowerBoundPruning:
         tables = _record_calls(monkeypatch, "_held_karp_table")
         assert lower_bound(inst) == reference_incremental_lower_bound(inst)
         assert tables == []
+
+    def test_insertion_bound_rules_out_the_top_table(self, monkeypatch):
+        # twelve points of weight 1 and four of weight 0.7 in the unit
+        # square: the 16-point level's nearest-neighbour tour still beats
+        # the 12-point level's exact value, but its tour by cheapest
+        # insertion into the 12-point optimum does not
+        rng = np.random.default_rng(4)
+        coords = rng.uniform(size=(16, 2))
+        dist = np.hypot(*(coords[:, None, :] - coords[None, :, :]).transpose(2, 0, 1))
+        inst = make_instance([f"p{i}" for i in range(16)], np.repeat([1.0, 0.7], [12, 4]),
+                             dist)
+        greedy = oracle._nearest_neighbour_tour(dist, np.arange(16))
+        assert 0.7 * oracle._tour_length(dist, greedy) > held_karp_tsp(inst, range(12)).value
+        tables = _record_calls(monkeypatch, "_held_karp_table")
+        assert lower_bound(inst) == reference_incremental_lower_bound(inst)
+        assert [len(sub) for sub, in tables] == [12]
+
+    def test_overflowed_first_table_gives_inf(self):
+        # 14 points pairwise 1e308 apart: every tour of the 12 heaviest
+        # overflows, so the first table has no finite tour to walk back
+        dist = np.full((14, 14), 1e308)
+        np.fill_diagonal(dist, 0.0)
+        inst = make_instance([f"p{i}" for i in range(14)], [1.0] * 12 + [0.5] * 2, dist)
+        assert lower_bound(inst) == reference_incremental_lower_bound(inst) == math.inf
+
+    def test_single_level_computes_no_leaf_distances(self, monkeypatch):
+        leaves = _record_calls(monkeypatch, "_leaf_distances")
+        for n in (17, 40):
+            lower_bound(random_instance(3, n, "equal"))
+        assert leaves == []
+
+    def test_levels_the_tour_rules_out_take_no_leaf_distances(self, monkeypatch):
+        # two points of weight 1 a unit apart and 30 far lighter ones
+        # around the first: each MST level's weight times a tour through
+        # all points is below the diameter, so no leaf row is gathered
+        rng = np.random.default_rng(2)
+        coords = np.concatenate([[[0.0, 0.0], [1.0, 0.0]], 0.01 * rng.uniform(size=(30, 2))])
+        dist = np.hypot(*(coords[:, None, :] - coords[None, :, :]).transpose(2, 0, 1))
+        weights = np.concatenate([[1.0, 1.0], rng.uniform(0.005, 0.01, size=30)])
+        inst = make_instance([f"p{i}" for i in range(32)], weights, dist)
+        leaves = _record_calls(monkeypatch, "_leaf_distances")
+        assert lower_bound(inst) == reference_incremental_lower_bound(inst)
+        assert leaves == []
+
+    def test_leaf_bound_keeps_its_rounding_margin(self):
+        # point 0 at distance 1 from 17 points spaced u = 2**-53 apart, the
+        # last of them lighter.  Summed in ranked order, the top level's
+        # leaf distances 1, u, ..., u round to 1, the diameter; Kruskal
+        # sums the same tree u first, to 1 + 8 eps.  Only the margin keeps
+        # the leaf test from skipping the level that sets the bound.
+        u = 2.0 ** -53
+        at = np.arange(18)
+        dist = np.abs(at[:, None] - at) * u
+        dist[0, 1:] = dist[1:, 0] = 1.0
+        inst = make_instance([f"p{i}" for i in range(18)], [1.0] * 17 + [0.5], dist)
+        assert reference_incremental_lower_bound(inst) == 1.0 + 8 * np.finfo(float).eps
+        assert lower_bound(inst) == 1.0 + 8 * np.finfo(float).eps
