@@ -7,6 +7,7 @@ cover are tested against them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -156,15 +157,129 @@ def held_karp_tsp(inst: Instance, subset: Sequence[int] | None = None) -> Oracle
     return OracleResult(value, Schedule(tuple(verts[i] for i in order)), bound)
 
 
+# Most candidate sequences the exhaustive oracle builds at once.
+_CANDIDATE_BLOCK = 1 << 14
+
+# The exhaustive oracle's bound is shrunk by this factor, 1 - margin; see
+# brute_force_weighted_opt for why 2^-40 covers its rounding.
+_BOUND_FACTOR = 1.0 - 2.0 ** -40
+
+
+@cache
+def _tails(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every choice of s steps over n >= 2 points, each 1 .. n - 1 points on
+    mod n, level by level; it depends on n only.
+
+    Level s holds, for each choice of s steps, the offset its last step
+    reaches (``last``) and its visits to each offset (``counts``).  The
+    choice at row r of level s is row r // (n - 1) of level s - 1 plus one
+    step.  Levels stop at the last one with at most ``_CANDIDATE_BLOCK``
+    choices, or at ``BRUTE_FORCE_MAX_PERIOD - 1`` steps.  Over n = 2 .. 6
+    they hold about 320 kB.
+    """
+    step = np.arange(1, n, dtype=np.int8)
+    last = np.zeros(1, dtype=np.int8)
+    counts = np.zeros((1, n), dtype=np.int8)
+    levels = [(last, counts)]
+    while (len(levels) < BRUTE_FORCE_MAX_PERIOD
+           and (n - 1) ** len(levels) <= _CANDIDATE_BLOCK):
+        last = ((last[:, None] + step) % n).ravel()
+        counts = np.repeat(counts, n - 1, axis=0) + np.eye(n, dtype=np.int8)[last]
+        levels.append((last, counts))
+    for level in levels:
+        for a in level:
+            a.setflags(write=False)
+    return tuple(levels)
+
+
+def _candidates(n: int, max_period: int):
+    """Every candidate patrol over n >= 2 points, of n .. ``max_period``
+    visits, as ``(length, sequences, visits)`` blocks of at most
+    ``_CANDIDATE_BLOCK`` rows; ``visits[i, x]`` counts row i's visits to x.
+
+    A candidate starts at point 0, never repeats a point immediately, wrap
+    included, and visits every point.  So it is a walk from 0 whose steps
+    each move 1 .. n - 1 points on, mod n.  A block fixes the first steps
+    (the head) and takes every choice of the last ones (the tail) from
+    :func:`_tails`, but builds only the rows that end away from 0 and visit
+    every point.
+    """
+    tails = _tails(n)
+    for length in range(n, max_period + 1):
+        free = min(length, len(tails)) - 1
+        last, counts = tails[free]
+        for head in itertools.product(range(1, n), repeat=length - 1 - free):
+            start = np.cumsum((0, *head)) % n
+            at = int(start[-1])
+            in_head = np.bincount(start, minlength=n).astype(np.int8)
+            visits = in_head + counts[:, (np.arange(n) - at) % n]
+            keep = np.flatnonzero(visits.all(axis=1) & (last != -at % n))
+            seqs = np.empty((keep.size, length), dtype=np.intp)
+            seqs[:, :start.size] = start
+            row = keep
+            for s in range(free, 0, -1):
+                seqs[:, start.size - 1 + s] = (at + tails[s][0][row]) % n
+                row = row // (n - 1)
+            yield length, seqs, visits[keep]
+
+
+@np.errstate(over="ignore")  # an overflowing period gets no bound
 def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> OracleResult:
     """Best weighted objective over all short cyclic visit sequences.
 
-    Enumerates every sequence of length n..max_period that starts at point 0
+    Searches every sequence of length n..max_period that starts at point 0
     (rotations are equivalent), has no immediate repeats, and visits every
     point, and minimizes ``weighted_objective`` at order ``p``.  This is an
     upper bound on the true optimum — longer periods could do better — which
     ``search_bound`` records.  The witness has the smallest objective, then
     the shortest period, then comes first lexicographically.
+
+    Only the candidates that a cheap bound cannot rule out are scored.  A
+    candidate's period P is its hops folded left to right, the wrap hop
+    last, as :func:`schedule._visit_times` folds them, and k_x its number of
+    visits to x.  Its bound is ``B = max_x w_x * P / k_x * (1 - 2^-40)``.
+    The lengths are taken in turn and their candidates in blocks; in each
+    block the candidates are scored in ascending order of B, through
+    :func:`schedule._profiles`, until one has B above the best value so
+    far.  Every candidate left unscored then scores above that value, so
+    none of them could tie with the witness, and the (value, length,
+    sequence) minimum is the one over all candidates.
+
+    Why B never exceeds a candidate's score (u = 2^-53 is the unit
+    roundoff; w = w_x and k = k_x for the point x that sets B):
+
+    * The gaps.  x's gaps are float differences of nondecreasing visit
+      times, its wrap gap ``(P - last) + first``.  A float addition or
+      subtraction of non-negative values is within a factor 1 +- u of
+      exact (a subnormal result is exact), so as real numbers the gaps sum
+      to S >= (1 - u)^2 P.
+    * Exact costs.  Every cost of those gaps is at least S / k in real
+      arithmetic: the longest gap is at least the mean one, and for p >= 2
+      ``sum(l^p) / sum(l^(p-1)) >= sum(l^2) / sum(l) >= sum(l) / k`` (Lehmer
+      means grow with p; Cauchy-Schwarz).
+    * Rounding.  :func:`_cost_of_gaps` then takes at most these steps, each
+      within a factor 1 +- 2u (a power within one ulp): k powers or products
+      and k - 1 additions in each of its two sums, one division, and on its
+      rescaled path k divisions of the gaps first and one product last;
+      ``w * cost`` is one more.  A step that underflows adds an absolute
+      error of at most 2^-1074, 2u of the smallest normal float, to a value
+      that is then at least about that large: the numerator is normal on the
+      path that uses it, the denominator is at least the numerator or at
+      least 1, the rescaled gaps sum to at least 1, and the final cost and
+      ``w * cost`` are at least about B (weights are at most 1).  So each
+      underflow counts as one more such factor.  That is at most 8k + 3
+      factors, so with the gaps' two the score is at least ``w P / k *
+      (1 - 2u)^(8k + 5)``.
+    * The bound.  B rounds three times (w * P, / k, times its factor), so
+      it is at most ``w P / k * (1 + u)^3 * (1 - 2^-40)``.  With k at most
+      ``BRUTE_FORCE_MAX_PERIOD`` = 10 both (1 - 2u)^85 and (1 + u)^-3 are
+      within 2^-45 of 1, so the factor leaves room to spare, for powers many
+      ulps off too.
+
+    The relative bounds need normal floats, so B counts only when it is a
+    normal float; its products, never smaller than it, are then normal as
+    well.  A B that is zero, subnormal or inf (the period or a product
+    overflowed) rules nothing out.
     """
     p = _validate_p(p)
     n = inst.n
@@ -190,20 +305,22 @@ def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> Oracl
             return math.inf
         return worst_weighted([_cost_of_gaps(gaps, p) for gaps in profiles], inst)
 
-    def candidates(seq: tuple[int, ...], left: int):
-        """(objective, length, sequence) of ``seq`` and of every extension of
-        it; ``left`` is the number of points it misses."""
-        if left > max_period - len(seq):
-            return  # not enough slots left to visit every point
-        last = seq[-1]
-        if not left and last != 0:
-            yield score(seq), len(seq), seq
-        if len(seq) < max_period:
-            for v in range(n):
-                if v != last:
-                    yield from candidates(seq + (v,), left - (v not in seq))
-
-    value, _, seq = min(candidates((0,), n - 1))
+    best: tuple[float, int, tuple[int, ...]] = (math.inf, max_period + 1, ())
+    for length, seqs, visits in _candidates(n, max_period):
+        # folded left to right, the wrap hop last, as _visit_times folds it
+        period = inst.dist[seqs[:, 0], seqs[:, 1]]
+        for j in range(1, length):
+            period += inst.dist[seqs[:, j], seqs[:, (j + 1) % length]]
+        bounds = np.max(np.multiply.outer(period, inst.weights) / visits, axis=1)
+        bounds *= _BOUND_FACTOR
+        bounds[~((bounds >= sys.float_info.min) & (bounds < math.inf))] = 0.0
+        ahead = np.flatnonzero(bounds <= best[0])
+        for i in ahead[np.argsort(bounds[ahead], kind="stable")].tolist():
+            if bounds[i] > best[0]:
+                break
+            seq = tuple(seqs[i].tolist())
+            best = min(best, (score(seq), length, seq))
+    value, _, seq = best
     if math.isinf(value):  # every candidate scored inf
         raise ValueError("every patrol's weighted objective overflows to inf: the "
                          "distances are too large to sum in floating point")

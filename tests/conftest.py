@@ -1,6 +1,9 @@
 """Shared fixtures: hand-checkable instances and random-instance helpers."""
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -11,8 +14,10 @@ from patrolsched.instance import (_WITNESS_CAP, TRIANGLE_TOL, InstanceFormatErro
                                   MetricReport, Violation)
 from patrolsched.mst import (_adjacency, _find, _normalize_subset, _spanning_forest,
                              _tree_from_edges)
-from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _grow_spanning_tree,
-                                _held_karp_table)
+from patrolsched.oracle import (BRUTE_FORCE_MAX_PERIOD, BRUTE_FORCE_MAX_POINTS,
+                                HELD_KARP_MAX, OracleResult, _closing_costs,
+                                _grow_spanning_tree, _held_karp_table)
+from patrolsched.schedule import _cost_of_gaps, _profiles, _validate_p, worst_weighted
 from patrolsched.treecover import _critical_pair, _pieces, _threshold
 
 # Per-criterion verdict lines recorded by the acceptance suite; echoed in the
@@ -195,6 +200,53 @@ def reference_incremental_lower_bound(inst: Instance) -> float:
     return float(best)
 
 
+def reference_brute_force(inst: Instance, p: float, max_period: int) -> OracleResult:
+    """``brute_force_weighted_opt`` as it was before its bound: every candidate
+    scored, kept verbatim as the reference the bounded search must reproduce."""
+    p = _validate_p(p)
+    n = inst.n
+    if n > BRUTE_FORCE_MAX_POINTS:
+        raise ValueError(
+            f"brute force is limited to {BRUTE_FORCE_MAX_POINTS} points, got {n}")
+    if max_period > BRUTE_FORCE_MAX_PERIOD:
+        raise ValueError(
+            f"brute force is limited to period {BRUTE_FORCE_MAX_PERIOD}, got {max_period}")
+    if max_period < n:
+        raise ValueError(f"max_period {max_period} cannot cover all {n} points")
+    bound = {"method": "exhaustive", "max_period": max_period,
+             "upper_bound_only": True}
+    if n == 1:
+        return OracleResult(0.0, Schedule((0,)), bound)
+
+    dist = inst.dist.tolist()
+
+    def score(seq: tuple[int, ...]) -> float:
+        try:
+            profiles, _ = _profiles(seq, [dist[a][b] for a, b in zip(seq, seq[1:] + (0,))], n)
+        except ValueError:  # the period overflows, so some absence is inf
+            return math.inf
+        return worst_weighted([_cost_of_gaps(gaps, p) for gaps in profiles], inst)
+
+    def candidates(seq: tuple[int, ...], left: int):
+        """(objective, length, sequence) of ``seq`` and of every extension of
+        it; ``left`` is the number of points it misses."""
+        if left > max_period - len(seq):
+            return  # not enough slots left to visit every point
+        last = seq[-1]
+        if not left and last != 0:
+            yield score(seq), len(seq), seq
+        if len(seq) < max_period:
+            for v in range(n):
+                if v != last:
+                    yield from candidates(seq + (v,), left - (v not in seq))
+
+    value, _, seq = min(candidates((0,), n - 1))
+    if math.isinf(value):  # every candidate scored inf
+        raise ValueError("every patrol's weighted objective overflows to inf: the "
+                         "distances are too large to sum in floating point")
+    return OracleResult(value, Schedule(seq), bound)
+
+
 def reference_validate_metric(dist: np.ndarray) -> MetricReport:
     """Check symmetry, zero diagonal, positive off-diagonal, and triangles.
 
@@ -304,6 +356,11 @@ def reference_best_attack(gaps: list[float], period: float, weight: float) -> tu
     and each interval's parabola vertex; every candidate is scored in
     ascending order with an explicit left-to-right sum (``sum()`` of floats
     is compensated from Python 3.12 on), and the first strict maximum wins.
+    The range rule is the kernel's: when the best w * t * excess, or its
+    quotient by the period, is not a finite normal float, the gaps are
+    scored divided by the period and the answer multiplied back, and a
+    subnormal weight keeps the direct answer unless the rescaled one is
+    normal.
     """
     if period == 0.0:
         return 0.0, 0.0
@@ -325,16 +382,20 @@ def reference_best_attack(gaps: list[float], period: float, weight: float) -> tu
                 candidates.append(vertex)
         lo = hi
 
-    best_t = 0.0
-    best_u = 0.0
+    best_t = best_wte = best_u = 0.0
     for t in sorted(candidates):
         excess = 0.0
         for g in ls:
             excess += max(g - t, 0.0)
-        u = weight * t * excess / period
+        wte = weight * t * excess
+        u = wte / period
         if u > best_u:
-            best_u = u
-            best_t = t
+            best_t, best_wte, best_u = t, wte, u
+    normal = sys.float_info.min
+    if period != 1.0 and not (normal <= best_wte < math.inf and normal <= best_u < math.inf):
+        t_unit, u_unit = reference_best_attack([g / period for g in ls], 1.0, weight)
+        if weight >= normal or u_unit * period >= normal:
+            return t_unit * period, u_unit * period
     return best_t, best_u
 
 

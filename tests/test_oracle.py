@@ -15,11 +15,11 @@ from patrolsched import (GEOMETRIES, WEIGHT_LAWS, RandomSpec, Schedule,
                          partition_tree_cover_oracle, period_length,
                          weighted_objective)
 from patrolsched.instance import TRIANGLE_TOL
-from patrolsched.oracle import (HELD_KARP_MAX, _closing_costs, _held_karp_table,
-                                _partitions_upto, _paths_to)
-from conftest import (random_instance, random_metric_instance, reference_held_karp,
-                      reference_incremental_lower_bound, reference_lower_bound,
-                      schedules_on_metrics)
+from patrolsched.oracle import (BRUTE_FORCE_MAX_POINTS, HELD_KARP_MAX, _closing_costs,
+                                _held_karp_table, _partitions_upto, _paths_to)
+from conftest import (random_instance, random_metric_instance, reference_brute_force,
+                      reference_held_karp, reference_incremental_lower_bound,
+                      reference_lower_bound, schedules_on_metrics)
 
 
 def permutation_tsp(inst, subset):
@@ -183,6 +183,81 @@ def test_value_is_the_witness_objective_exactly(case, p, extra):
     inst, _ = case
     res = brute_force_weighted_opt(inst, p, inst.n + extra)
     assert res.value == weighted_objective(res.witness, inst, p)
+
+
+@st.composite
+def exhaustive_cases(draw):
+    """(instance, p, max_period) for the exhaustive oracle, at a distance
+    scale 10^k.
+
+    ``generated`` covers both geometries and all three weight laws.  ``grid``
+    puts the points on an L1 grid and ``line`` on a line, at whole or tenth
+    steps: whole steps tie many candidates exactly, tenth steps make their
+    periods differ by rounding alone.  Their weights take at most three
+    values, so points tie on weight too.
+    """
+    kind = draw(st.sampled_from(["generated", "grid", "line"]))
+    n = draw(st.integers(3 if kind == "generated" else 1, BRUTE_FORCE_MAX_POINTS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "generated":
+        inst = generate_random(RandomSpec(n=n, weight_law=draw(st.sampled_from(WEIGHT_LAWS)),
+                                          geometry=draw(st.sampled_from(GEOMETRIES))), seed)
+        dist, weights = inst.dist, inst.weights
+    else:
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            cells = rng.choice(9, size=n, replace=False)
+            pts = np.stack([cells // 3, cells % 3], axis=1)
+        else:
+            pts = rng.choice(12, size=(n, 1), replace=False)
+        step = draw(st.sampled_from([1.0, 0.1]))
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2) * step
+        weights = rng.integers(1, draw(st.integers(1, 3)) + 1, size=n)
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    inst = make_instance([f"p{i}" for i in range(n)], weights, dist * scale)
+    p = draw(st.sampled_from([2.0, 3.0, math.inf]))
+    return inst, p, min(n + draw(st.integers(0, 3)), 8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=exhaustive_cases())
+def test_bounded_search_equals_scoring_every_candidate(case):
+    inst, p, max_period = case
+    res, ref = brute_force_weighted_opt(inst, p, max_period), reference_brute_force(
+        inst, p, max_period)
+    assert res.value.hex() == ref.value.hex()
+    assert res.witness == ref.witness
+    assert res.search_bound == ref.search_bound
+
+
+def test_bound_keeps_its_rounding_margin():
+    # q1, the one point of weight 1, is visited once, at 0.4, by the tour
+    # q0 q1 q2 q3 (hops 0.4, 0.6, 0.4, 0.3).  Its period P folds to 1.7, and
+    # q1's wrap gap (P - 0.4) + 0.4 rounds one ulp below, to the tour's
+    # value.  The reversed tour folds its period to that lower float and
+    # scores it too, so without the margin it comes first and the tour's
+    # bound P rules the tour out: the witness would lose its tie.
+    d = [[0.0, 0.4, 0.7, 0.3], [0.4, 0.0, 0.6, 0.6],
+         [0.7, 0.6, 0.0, 0.4], [0.3, 0.6, 0.4, 0.0]]
+    inst = make_instance(["q0", "q1", "q2", "q3"], [0.25, 1.0, 0.5, 0.25], d)
+    tour = Schedule((0, 1, 2, 3))
+    below = math.nextafter(1.7, 0.0)
+    assert period_length(tour, inst) == 1.7
+    assert weighted_objective(tour, inst, math.inf) == below
+    assert period_length(Schedule((0, 3, 2, 1)), inst) == below
+    res = brute_force_weighted_opt(inst, math.inf, 4)
+    assert (res.value, res.witness) == (below, tour)
+
+
+def test_equal_weights_score_only_the_shortest_tours(monkeypatch):
+    # GRID_SIX with equal weights, period 8: of the 16,920 candidates, only
+    # the 6-long tour around the grid and its reversal have a bound (their
+    # period, since they visit points once) of at most 6
+    inst = make_instance(GRID_SIX.labels, [1.0] * 6, GRID_SIX.dist)
+    calls = _record_calls(monkeypatch, "_profiles")
+    res = brute_force_weighted_opt(inst, math.inf, 8)
+    assert (res.value, res.witness) == (6.0, Schedule((0, 1, 2, 5, 4, 3)))
+    assert len(calls) == 2
 
 
 def equidistant(dist):

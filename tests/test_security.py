@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from patrolsched import (AttackOutcome, MixedStrategy, Schedule, UNBOUNDED, absence_profile,
@@ -201,8 +201,13 @@ def test_per_target_best_matches_reference_bit_for_bit(case):
                      min_size=1, max_size=24),
        weight=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
        block=st.sampled_from([1, 2, 5, 16, security.SCAN_BLOCK]))
+@example(gaps=[0.5, 0.5, 0.5], weight=2.2250738585072014e-308, block=1)
 def test_best_attack_scan_matches_reference_bit_for_bit(gaps, weight, block):
-    """Tied and repeated gaps, weight 0, and scans split into many blocks."""
+    """Tied and repeated gaps, weight 0, and scans split into many blocks.
+
+    The example's weight is the smallest normal float: w * t * excess is
+    subnormal, so the answer comes from the gaps rescaled by the period.
+    """
     period = 0.0
     for g in gaps:
         period += g
