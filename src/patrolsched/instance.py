@@ -225,6 +225,8 @@ class Instance:
     dist: np.ndarray
     coords: np.ndarray | None = None
     _index: dict[str, int] = field(repr=False, default_factory=dict)
+    # mst._subset_mst's trees, keyed by ascending vertex tuple
+    _msts: dict[tuple[int, ...], tuple] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for array in (self.weights, self.dist, self.coords):

@@ -137,6 +137,25 @@ def _normalize_subset(inst: Instance, subset: Sequence[int] | None) -> tuple[int
     return tuple(out)
 
 
+def _subset_mst(inst: Instance, verts: Sequence[int],
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """MST of the ascending point indices ``verts``: ``(us, vs, ws, cost)``.
+
+    The edges are Kruskal's forest of ``verts``, in (distance, u, v) order,
+    and ``cost`` folds their weights left to right in that order.  The
+    order is strict, so the tree is unique.  Each set's tree is built once
+    per instance and kept on it; the arrays are read-only.
+    """
+    key = tuple(verts)
+    mst = inst._msts.get(key)
+    if mst is None:
+        us, vs, ws = _spanning_forest(inst.dist, key)
+        for array in (us, vs, ws):
+            array.setflags(False)  # write=False; the keyword costs 3 times as much
+        mst = inst._msts[key] = (us, vs, ws, _fold(ws.tolist()))
+    return mst
+
+
 def minimum_spanning_tree(inst: Instance, subset: Sequence[int] | None = None) -> Tree:
     """MST of the complete distance graph induced by ``subset``.
 
@@ -144,10 +163,8 @@ def minimum_spanning_tree(inst: Instance, subset: Sequence[int] | None = None) -
     same way on every run.
     """
     verts = _normalize_subset(inst, subset)
-    if len(verts) == 1:
-        return Tree(vertices=verts, edges=(), cost=0.0)
-    us, vs, ws = _spanning_forest(inst.dist, verts)
-    return _tree_from_edges(list(zip(us.tolist(), vs.tolist(), ws.tolist())))
+    us, vs, _, cost = _subset_mst(inst, verts)
+    return Tree(vertices=verts, edges=tuple(sorted(zip(us.tolist(), vs.tolist()))), cost=cost)
 
 
 def _adjacency(tree: Tree) -> dict[int, list[int]]:

@@ -1,9 +1,15 @@
-"""Exact desk-scale references: TSP, best weighted schedule, best tree cover.
+"""Exact desk-scale references, and the lower bound that certifies a plan.
 
-These oracles are deliberately small-bounded brute force / dynamic programs.
-They exist to certify the fast algorithms: every value they return is exact
-for the search space stated in its ``search_bound``, and the planner and tree
-cover are tested against them.
+The oracles, ``held_karp_tsp``, ``brute_force_weighted_opt`` and
+``partition_tree_cover_oracle``, are deliberately small-bounded brute force /
+dynamic programs.  They exist to certify the fast algorithms: every value
+they return is exact for the search space stated in its ``search_bound``,
+and the planner and tree cover are tested against them.
+
+``lower_bound`` runs at every size: it is the certificate ``plan`` reports,
+the largest ``w * TSP`` over the heaviest-first weight levels (Held-Karp up
+to 16 points, an MST above) and the largest distance.  Its MSTs and the
+oracle's block MSTs come from ``mst._subset_mst``, like the tree covers'.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .instance import TRIANGLE_TOL, Instance
-from .mst import _fold, _normalize_subset, _spanning_forest
+from .mst import _fold, _normalize_subset, _spanning_forest, _subset_mst
 from .schedule import Schedule, _cost_of_gaps, _profiles, _validate_p, worst_weighted
 
 HELD_KARP_MAX = 16
@@ -365,17 +371,12 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
         raise ValueError(
             f"partition oracle is limited to {PARTITION_MAX_PARTS} parts, got {k}")
 
-    @cache
-    def block_cost(block: tuple[int, ...]) -> float:
-        """``minimum_spanning_tree(inst, block).cost``, summed in the same order."""
-        return _fold(_spanning_forest(inst.dist, block)[2].tolist())
-
     best = math.inf
     best_partition: tuple[tuple[int, ...], ...] | None = None
     for partition in _partitions_upto(verts, k):
         worst = 0.0
         for block in partition:
-            c = block_cost(block)
+            c = _subset_mst(inst, block)[3]
             if c > worst:
                 worst = c
             if worst >= best:
@@ -501,14 +502,16 @@ def lower_bound(inst: Instance) -> float:
 
     The levels are computed incrementally.  Points are ranked heaviest
     first, ties by index, so every level is a prefix of the ranking.  Above
-    16 points one MST grows from level to level: by the cycle property the
-    MST of a level lies within an earlier level's tree plus the edges
-    touching the points added since, so Kruskal re-runs on just those, and
-    the tree and its cost equal a fresh MST bit for bit.  A Held-Karp table
-    over a prefix of at most 16 points, started at the heaviest point,
-    gives the exact TSP of every smaller prefix from a single column; it
-    may differ from a tour started at the lowest index by an ulp, since
-    floating-point sums depend on the start.
+    16 points the first level computed takes its MST from
+    ``mst._subset_mst``, which a tree cover of the same points shares, and
+    the tree grows from level to level: by the cycle property the MST of a
+    level lies within an earlier level's tree plus the edges touching the
+    points added since, so Kruskal re-runs on just those, and the tree and
+    its cost equal a fresh MST bit for bit.  A Held-Karp table over a
+    prefix of at most 16 points, started at the heaviest point, gives the
+    exact TSP of every smaller prefix from a single column; it may differ
+    from a tour started at the lowest index by an ulp, since floating-point
+    sums depend on the start.
 
     With more than one level, a level whose value provably cannot exceed
     the best value found so far is skipped, so the returned float is the
@@ -576,8 +579,7 @@ def lower_bound(inst: Instance) -> float:
             tour = order[_nearest_neighbour_tour(inst.dist, order)]
             reach = _tour_length(inst.dist, tour) * (1.0 + 4.0 * TRIANGLE_TOL) ** (n + 2)
             margin = (1.0 + 2.0 * sys.float_info.epsilon) ** (n + 2)
-        empty = np.zeros(0, dtype=np.int64)
-        tree, cost, covered, leaves = (empty, empty), 0.0, 0, 0.0
+        cost, covered, leaves = 0.0, 0, 0.0
         for start, end in zip([1, *mst_ends], mst_ends):
             weight = float(ranked[end - 1])
             if weight * reach <= best:
@@ -586,8 +588,12 @@ def lower_bound(inst: Instance) -> float:
                 leaves += _fold(_leaf_distances(inst.dist, order, start, end).tolist())
                 if weight * ((cost + leaves) * margin) <= best:
                     continue
-            tree, cost = _grow_spanning_tree(inst.dist, tree, order[:covered],
-                                             order[covered:end])
+            if covered:
+                tree, cost = _grow_spanning_tree(inst.dist, tree, order[:covered],
+                                                 order[covered:end])
+            else:
+                us, vs, _, cost = _subset_mst(inst, sorted(order[:end].tolist()))
+                tree = (us, vs)
             covered, leaves = end, 0.0
             best = max(best, weight * cost)
     tsp_ends = [e for e in ends if 2 <= e <= HELD_KARP_MAX]

@@ -79,7 +79,7 @@ def success_probability(s: Schedule, inst: Instance, x: int, t: float) -> float:
     Equals sum(max(l - t, 0)) / period over x's absence lengths l.  An
     unvisited target is never interrupted: probability 1 for every t.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"attack duration must be nonnegative, got {t!r}")
     profiles, period = _walk(s, inst)
     if not 0 <= x < inst.n:

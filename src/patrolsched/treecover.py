@@ -7,10 +7,11 @@ spanning forest of what remains, and chops each component MST into edge-
 disjoint pieces — at most one piece lighter than 2B per component, all other
 pieces weighing in [2B, 4B).  If the pieces fit into k trees the budget is
 feasible.  In Kruskal order the minimum spanning forest of the edges <= B
-is the subset MST's prefix of edges <= B, so one Kruskal builds the MST
-once per cover and every budget probe labels the components of its prefix
-of edges <= B with a union-find.  A probe counts pieces from the
-components' costs alone; only the cover finally returned groups the
+is the subset MST's prefix of edges <= B, so every budget probe labels the
+components of that prefix with a union-find.  The subset MST comes from
+``mst._subset_mst``: one Kruskal per vertex set and instance, shared by
+every cover of that set and by ``lower_bound``.  A probe counts pieces from
+the components' costs alone; only the cover finally returned groups the
 components' vertices and edges.
 
 Feasibility is not monotone in the budget: on a line at 5, 8, 10, 16, 24,
@@ -31,8 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instance import Instance
-from .mst import (Tree, _adjacency, _find, _fold, _normalize_subset, _spanning_forest,
-                  _tree_from_edges)
+from .mst import Tree, _adjacency, _find, _normalize_subset, _subset_mst, _tree_from_edges
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
     increment is itself below 3B (leftover < 2B plus one edge <= B) and is
     emitted on its own when it reaches 2B.
     """
-    if budget <= 0.0:
+    if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
     dist = inst.dist
     for u, v in tree.edges:
@@ -115,15 +115,15 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
     return [_tree_from_edges(e) for e in pieces]
 
 
-def _roots(mst: tuple[np.ndarray, ...], verts: Sequence[int],
-           budget: float) -> tuple[list[int], list[int]]:
+def _roots(mst: tuple, verts: Sequence[int], budget: float) -> tuple[list[int], list[int]]:
     """The forest at ``budget``: the component root of every position in
     ``verts``, and the position of the first end of each of its edges.
 
-    ``mst`` holds the MST of the ascending ``verts`` in Kruskal order; the
-    forest is its prefix of edges <= budget, labelled with a union-find.
+    ``mst`` is ``_subset_mst`` of the ascending ``verts``, its edges in
+    Kruskal order; the forest is its prefix of edges <= budget, labelled
+    with a union-find.
     """
-    us, vs, ws = mst
+    us, vs, ws, _ = mst
     cut = int(np.searchsorted(ws, budget, side="right"))
     heads = np.searchsorted(verts, us[:cut]).tolist()
     parent = list(range(len(verts)))
@@ -132,7 +132,7 @@ def _roots(mst: tuple[np.ndarray, ...], verts: Sequence[int],
     return [_find(parent, i) for i in range(len(verts))], heads
 
 
-def _costs(mst: tuple[np.ndarray, ...], verts: Sequence[int], budget: float) -> list[float]:
+def _costs(mst: tuple, verts: Sequence[int], budget: float) -> list[float]:
     """The MST cost of every component of the forest at ``budget``, its
     edges added left to right in Kruskal order."""
     roots, heads = _roots(mst, verts, budget)
@@ -147,23 +147,20 @@ def _pieces(cost: float, budget: float) -> int:
     return math.floor(cost / (2.0 * budget)) + 1
 
 
-def _fits(mst: tuple[np.ndarray, ...], verts: Sequence[int], k: int,
-          budget: float) -> bool:
+def _fits(mst: tuple, verts: Sequence[int], k: int, budget: float) -> bool:
     """Whether the forest at ``budget`` splits into at most k pieces."""
     return sum(_pieces(cost, budget) for cost in _costs(mst, verts, budget)) <= k
 
 
-def _cover_at(
-    inst: Instance, mst: tuple[np.ndarray, ...], mst_cost: float,
-    verts: Sequence[int], k: int, budget: float,
-) -> TreeCover:
+def _cover_at(inst: Instance, mst: tuple, verts: Sequence[int], k: int,
+              budget: float) -> TreeCover:
     """The pieces of every component of the forest at ``budget``.
 
     Components come in order of their lowest vertex, each one's edges in
     Kruskal order; a component without edges is a single point.
     """
     roots, heads = _roots(mst, verts, budget)
-    us, vs, ws = (x[:len(heads)].tolist() for x in mst)
+    us, vs, ws = (x[:len(heads)].tolist() for x in mst[:3])
     # roots runs over ascending positions: keys come in order of lowest vertex
     edges: dict[int, list[tuple[int, int, float]]] = {root: [] for root in roots}
     for a, edge in zip(heads, zip(us, vs, ws)):
@@ -174,7 +171,7 @@ def _cover_at(
             trees.extend(decompose_tree(inst, _tree_from_edges(comp), budget))
         else:
             trees.append(Tree(vertices=(verts[root],), edges=(), cost=0.0))
-    return TreeCover(trees=tuple(trees), budget_used=float(budget), k=k, mst_cost=mst_cost)
+    return TreeCover(trees=tuple(trees), budget_used=float(budget), k=k, mst_cost=mst[3])
 
 
 def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: float) -> TreeCover | None:
@@ -188,13 +185,13 @@ def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: flo
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if budget <= 0.0:
+    if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
     verts = _normalize_subset(inst, subset)
-    mst = _spanning_forest(inst.dist, verts)
+    mst = _subset_mst(inst, verts)
     if not _fits(mst, verts, k, budget):
         return None
-    return _cover_at(inst, mst, _fold(mst[2].tolist()), verts, k, budget)
+    return _cover_at(inst, mst, verts, k, budget)
 
 
 def _threshold(cost: float, m: int) -> float:
@@ -243,8 +240,8 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int) -> T
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     verts = _normalize_subset(inst, subset)
-    mst = _spanning_forest(inst.dist, verts)
-    mst_cost = _fold(mst[2].tolist())
+    mst = _subset_mst(inst, verts)
+    mst_cost = mst[3]
     if len(verts) <= k:
         return TreeCover(trees=tuple(Tree((v,), (), 0.0) for v in verts),
                          budget_used=0.0, k=k, mst_cost=mst_cost)
@@ -257,7 +254,7 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int) -> T
 
     weights = sorted(set(mst[2].tolist()))
     if fits(weights[0]):
-        return _cover_at(inst, mst, mst_cost, verts, k, weights[0])
+        return _cover_at(inst, mst, verts, k, weights[0])
     if mst_cost > weights[-1]:
         weights.append(mst_cost)
     lo, hi = _critical_pair(weights, fits)
@@ -267,4 +264,4 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int) -> T
     thresholds = {_threshold(cost, m) for cost in costs
                   for m in range(_pieces(cost, hi), min(spare, _pieces(cost, lo) - 1) + 1)}
     _, budget = _critical_pair([lo, *sorted(thresholds - {hi}), hi], fits)
-    return _cover_at(inst, mst, mst_cost, verts, k, budget)
+    return _cover_at(inst, mst, verts, k, budget)

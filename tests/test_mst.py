@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from patrolsched import (Schedule, euler_shortcut, make_instance,
                          minimum_spanning_tree, period_length)
 from patrolsched import mst as mst_module
-from patrolsched.mst import _find, _spanning_forest
+from patrolsched.mst import _find, _spanning_forest, _subset_mst
 from patrolsched.oracle import lower_bound
 from conftest import left_fold, random_instance, random_metric_instance
 import numpy as np
@@ -279,6 +279,31 @@ def test_weight_bands_keep_the_full_sort_forest(case):
     got = _spanning_forest(dist, verts, us, vs)
     want = full_sort_spanning_forest(dist, verts, us, vs)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@st.composite
+def subset_mst_cases(draw):
+    """A plane, random-closure or tie-heavy L1 grid instance and an ascending subset."""
+    geometry = draw(st.sampled_from(["euclidean-plane", "random-closure", "grid"]))
+    if geometry == "grid":
+        inst, subset = draw(grid_subsets())
+    else:
+        n = draw(st.integers(3, 40))
+        inst = random_instance(draw(st.integers(0, 9999)), n, geometry=geometry)
+        subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return inst, sorted(subset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=subset_mst_cases())
+def test_subset_mst_is_the_full_sort_forest_built_once(case):
+    inst, subset = case
+    got = _subset_mst(inst, subset)
+    want = full_sort_spanning_forest(inst.dist, subset)
+    assert all(np.array_equal(g, w) for g, w in zip(got[:3], want))
+    assert got[3] == left_fold(want[2].tolist()) and type(got[3]) is float
+    assert _subset_mst(inst, subset) is got
+    assert not any(array.flags.writeable for array in got[:3])
 
 
 def test_far_apart_clusters_run_three_bands(monkeypatch):

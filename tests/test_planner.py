@@ -4,14 +4,19 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patrolsched import (Schedule, class_index, lower_bound, make_instance,
                          minimum_spanning_tree, plan, weighted_objective)
+from patrolsched import mst as mst_module
+from patrolsched import oracle as oracle_module
+from patrolsched import treecover as treecover_module
+from patrolsched.mst import _spanning_forest
 from patrolsched.planner import _check_list_weights, _check_tree_budgets
-from conftest import random_instance
+from conftest import left_fold, random_instance
 
 
 class TestClassIndex:
@@ -142,6 +147,41 @@ class TestPlanInvariants:
     def test_deterministic(self):
         inst = random_instance(11, 16, weight_law="pareto")
         assert plan(inst) == plan(inst)
+
+
+class TestSharedSpanningTrees:
+    @pytest.mark.parametrize("seed,geometry", [
+        (1, "euclidean-plane"), (2, "random-closure"), (3, "euclidean-plane"),
+    ])
+    def test_stored_trees_equal_fresh_ones(self, seed, geometry):
+        # every other point at the top weight: class 0's cover and the
+        # bound's first MST level span the same 20 points
+        base = random_instance(seed, 40, weight_law="uniform", geometry=geometry)
+        weights = base.weights.copy()
+        weights[::2] = 1.0
+        inst = make_instance(list(base.labels), weights, base.dist)
+        res = plan(inst)
+        assert res.classes[0].index == 0 and len(res.classes[0].members) > 16
+        assert res.classes[0].members in inst._msts
+        for key, (us, vs, ws, cost) in inst._msts.items():
+            fresh = _spanning_forest(inst.dist, key)
+            assert all(np.array_equal(a, b) for a, b in zip((us, vs, ws), fresh))
+            assert cost == left_fold(fresh[2].tolist())
+
+    def test_equal_weights_build_the_all_points_tree_once(self, monkeypatch):
+        inst = random_instance(1, 40, weight_law="equal")
+        forest, calls = mst_module._spanning_forest, []
+
+        def counted(dist, vertices, *args):
+            calls.append(len(vertices))
+            return forest(dist, vertices, *args)
+
+        # every module that binds the name, so a call through any of them counts
+        for module in (mst_module, oracle_module, treecover_module):
+            if hasattr(module, "_spanning_forest"):
+                monkeypatch.setattr(module, "_spanning_forest", counted)
+        plan(inst)
+        assert calls.count(40) == 1
 
 
 @settings(max_examples=40, deadline=None)

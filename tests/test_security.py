@@ -56,8 +56,12 @@ class TestSuccessProbability:
         assert success_probability(s, unit_triangle, 0, 0.1) == 0.0
 
     def test_rejects_negative_duration(self, unit_triangle):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="attack duration must be nonnegative"):
             success_probability(Schedule((0, 1)), unit_triangle, 0, -1.0)
+
+    def test_rejects_nan_duration(self, unit_triangle):
+        with pytest.raises(ValueError, match="attack duration must be nonnegative"):
+            success_probability(Schedule((0, 1)), unit_triangle, 0, math.nan)
 
 
 @settings(max_examples=100, deadline=None)

@@ -43,8 +43,9 @@ class TestDecomposeTree:
 
     def test_rejects_nonpositive_budget(self, line_four):
         mst = minimum_spanning_tree(line_four)
-        with pytest.raises(ValueError):
-            decompose_tree(line_four, mst, 0.0)
+        for budget in (0.0, math.nan):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                decompose_tree(line_four, mst, budget)
 
     def test_rejects_overlong_edge(self, line_four):
         mst = minimum_spanning_tree(line_four)
@@ -110,6 +111,8 @@ class TestTryBudget:
             try_budget(line_four, None, 0, 1.0)
         with pytest.raises(ValueError):
             try_budget(line_four, None, 2, -1.0)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            try_budget(line_four, None, 2, math.nan)
 
     def test_single_point_subset(self, line_four):
         cover = try_budget(line_four, [2], 1, 0.5)
