@@ -11,6 +11,9 @@ form because the success probability is piecewise linear in t.  The expected
 utility of the best response is bracketed by the quadratic absence cost:
 ``w * C2 / 8 <= best utility <= w * C2 / 2`` — so a defender minimizing the
 quadratic cost is minimizing attacker value up to a factor 4.
+``per_target_best`` scores the targets with the same number of visits
+together: their gap lists form one array, scanned in blocks of at most
+``SCAN_BLOCK`` (duration, gap) pairs across targets.
 
 ``mix_tours`` turns a probability distribution over tours into one periodic
 schedule whose quadratic cost at every point is at most 8 times the mixture's
@@ -32,8 +35,8 @@ from .schedule import (Schedule, UNBOUNDED, _cost_of_gaps, _walk, absence_profil
 
 PROB_TOL = 1e-9
 
-# Most (candidate duration, absence length) pairs the best-attack scan
-# holds in one block.
+# Most (candidate duration, absence length) pairs one block of the
+# best-attack scan holds, counted over all the targets the block takes.
 SCAN_BLOCK = 1 << 16
 
 
@@ -65,12 +68,15 @@ class MixedStrategy:
 
 
 def _excess(gaps: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """sum(max(l - t, 0)) over ``gaps`` for every t in ``ts``.
+    """sum(max(l - t, 0)) over the last axis of ``gaps`` for every t in ``ts``.
 
-    Each sum is folded left to right over ``gaps`` (a row of ``np.cumsum``),
-    so the result does not depend on how the Python version sums floats.
+    ``gaps`` is one row of absence lengths and ``ts`` a row of durations, or
+    ``gaps`` holds one row per target and ``ts`` that target's row of
+    durations.  Each sum is folded left to right over the gaps (a row of
+    ``np.cumsum``), so the result does not depend on how the Python version
+    sums floats or on how many targets share the call.
     """
-    return np.cumsum(np.maximum(gaps - ts[:, None], 0.0), axis=1)[:, -1]
+    return np.cumsum(np.maximum(gaps[..., None, :] - ts[..., :, None], 0.0), axis=-1)[..., -1]
 
 
 def success_probability(s: Schedule, inst: Instance, x: int, t: float) -> float:
@@ -97,45 +103,88 @@ def expected_return_time(s: Schedule, inst: Instance, x: int) -> float:
     return _cost_of_gaps(absence_profile(s, x, inst), 2.0) / 2.0
 
 
-def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tuple[float, float]:
-    """(duration, utility) maximizing w * t * sum(max(l - t, 0)) / period.
+def _best_attacks(gaps: np.ndarray, period: float,
+                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(durations, utilities) maximizing w * t * sum(max(l - t, 0)) / period
+    for every row of ``gaps``, a (targets x m) array of absence lengths, with
+    the matching entry of ``weights``.
 
     On each interval between consecutive sorted absence lengths the utility
     is a downward parabola in t, so the maximum is at an interval endpoint or
-    the parabola vertex.  Every distinct candidate is scored once, in blocks
-    of at most :data:`SCAN_BLOCK` pairs; ties resolve to the smallest
-    duration.  t = 0 is not scored: its utility is 0, the initial best.
+    the parabola vertex.  A row's distinct candidates come first, in
+    ascending order, and its largest one (the longest gap, utility 0) pads it
+    to the widest row.  Blocks of at most :data:`SCAN_BLOCK` (candidate, gap)
+    pairs take as many whole rows as fit; a row wider than that is scanned
+    alone in ascending slices of ``SCAN_BLOCK // m`` of its distinct
+    candidates.  A row's best changes only where its first maximum in a block
+    beats it, so ties resolve to the smallest duration, and a row whose first
+    maximum in a block is NaN keeps its best.  t = 0 is not scored: its
+    utility is 0, the initial best.
 
-    When the best candidate's w * t * excess, or its quotient by the period,
-    is not a finite normal float, the scan under- or overflowed: the gaps are
-    scored divided by the period and the answer is multiplied back.  A
+    When a row's best w * t * excess, or its quotient by the period, is not a
+    finite normal float, the scan under- or overflowed: that row is scored on
+    its gaps divided by the period and the answer is multiplied back.  A
     subnormal weight keeps the direct answer unless the rescaled one is
     normal.
     """
+    k, m = gaps.shape
+    best_t, best_wte, best_u = np.zeros(k), np.zeros(k), np.zeros(k)
     if period == 0.0:
-        return 0.0, 0.0
-    ls = np.sort(gaps)
-    m = len(ls)
-    suffix = np.cumsum(ls[::-1])[::-1]  # suffix[r] = sum of ls[r:]
-    lo = np.concatenate(([0.0], ls[:-1]))
-    # on (lo[r], ls[r]) the gaps ls[r:] are longer than t
-    vertex = suffix / (2.0 * (m - np.arange(m)))
-    candidates = np.unique(np.concatenate((ls, vertex[(lo < vertex) & (vertex < ls)])))
+        return best_t, best_u
+    # a scan past the float range is rescaled, without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ls = np.sort(gaps, axis=1)
+        suffix = np.cumsum(ls[:, ::-1], axis=1)[:, ::-1]  # suffix[:, r] = sum of ls[:, r:]
+        lo = np.concatenate((np.zeros((k, 1)), ls[:, :-1]), axis=1)
+        # on (lo[r], ls[r]) the gaps ls[r:] are longer than t
+        vertex = suffix / (2.0 * (m - np.arange(m)))
+        inside = (lo < vertex) & (vertex < ls)
+        # a vertex outside its interval is replaced by a repeat of the longest gap
+        cands = np.concatenate((ls, np.where(inside, vertex, ls[:, -1:])), axis=1)
+        cands.sort(axis=1)
+        repeat = np.zeros(cands.shape, dtype=bool)
+        repeat[:, 1:] = cands[:, 1:] == cands[:, :-1]
+        counts = (~repeat).sum(axis=1)
+        width = int(counts.max())
+        first = np.argsort(repeat, axis=1, kind="stable")[:, :width]
+        cands = np.take_along_axis(cands, first, axis=1)
+        cands = np.where(np.arange(width) < counts[:, None], cands, ls[:, -1:])
 
-    best_t = best_wte = best_u = 0.0
-    rows = max(1, SCAN_BLOCK // m)
-    for a in range(0, len(candidates), rows):
-        t = candidates[a:a + rows]
-        wte = weight * t * _excess(ls, t)
-        u = wte / period
-        i = int(np.argmax(u))
-        if u[i] > best_u:
-            best_t, best_wte, best_u = float(t[i]), float(wte[i]), float(u[i])
-    if period != 1.0 and not all(sys.float_info.min <= x < math.inf for x in (best_wte, best_u)):
-        t_unit, u_unit = _best_attack_on_gaps(ls / period, 1.0, weight)
-        if weight >= sys.float_info.min or u_unit * period >= sys.float_info.min:
-            return t_unit * period, u_unit * period
+        if width * m <= SCAN_BLOCK:
+            rows = SCAN_BLOCK // (width * m)
+            blocks = [(a, a + rows, 0, width) for a in range(0, k, rows)]
+        else:
+            cols = max(1, SCAN_BLOCK // m)
+            blocks = [(r, r + 1, a, min(a + cols, c))
+                      for r, c in enumerate(counts.tolist()) for a in range(0, c, cols)]
+        for r0, r1, c0, c1 in blocks:
+            t = cands[r0:r1, c0:c1]
+            wte = weights[r0:r1, None] * t * _excess(ls[r0:r1], t)
+            u = wte / period
+            at = np.arange(len(t)), np.argmax(u, axis=1)
+            better = u[at] > best_u[r0:r1]
+            # best_*[r0:r1] are views, so the masked writes land in best_*
+            best_t[r0:r1][better] = t[at][better]
+            best_wte[r0:r1][better] = wte[at][better]
+            best_u[r0:r1][better] = u[at][better]
+
+        normal = sys.float_info.min
+        in_range = ((normal <= best_wte) & (best_wte < math.inf)
+                    & (normal <= best_u) & (best_u < math.inf))
+        if period != 1.0 and not in_range.all():
+            redo = np.flatnonzero(~in_range)
+            t_unit, u_unit = _best_attacks(ls[redo] / period, 1.0, weights[redo])
+            keep = (weights[redo] >= normal) | (u_unit * period >= normal)
+            best_t[redo[keep]] = t_unit[keep] * period
+            best_u[redo[keep]] = u_unit[keep] * period
     return best_t, best_u
+
+
+def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tuple[float, float]:
+    """(duration, utility) maximizing w * t * sum(max(l - t, 0)) / period:
+    the one-row case of :func:`_best_attacks`."""
+    t, u = _best_attacks(np.asarray(gaps, dtype=float)[None, :], period, np.array([weight]))
+    return float(t[0]), float(u[0])
 
 
 def per_target_best(s: Schedule, inst: Instance) -> list[AttackOutcome]:
@@ -145,16 +194,19 @@ def per_target_best(s: Schedule, inst: Instance) -> list[AttackOutcome]:
     utility).
     """
     profiles, period = _walk(s, inst)
-    out: list[AttackOutcome] = []
-    # a scan past the float range is rescaled, without a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, (w, gaps) in enumerate(zip(inst.weights.tolist(), profiles)):
-            if gaps is None:
-                out.append(AttackOutcome(target=x, duration=UNBOUNDED, utility=UNBOUNDED))
-            else:
-                t, u = _best_attack_on_gaps(np.array(gaps), period, w)
-                out.append(AttackOutcome(target=x, duration=t, utility=u))
-    return out
+    durations = [UNBOUNDED] * inst.n
+    utilities = [UNBOUNDED] * inst.n
+    # one scan per visit count: its targets' gap lists form one array
+    groups: dict[int, list[int]] = {}
+    for x, gaps in enumerate(profiles):
+        if gaps is not None:
+            groups.setdefault(len(gaps), []).append(x)
+    for xs in groups.values():
+        ts, us = _best_attacks(np.array([profiles[x] for x in xs]), period, inst.weights[xs])
+        for x, t, u in zip(xs, ts.tolist(), us.tolist()):
+            durations[x], utilities[x] = t, u
+    return [AttackOutcome(target=x, duration=t, utility=u)
+            for x, (t, u) in enumerate(zip(durations, utilities))]
 
 
 def strongest_attack(outcomes: list[AttackOutcome]) -> AttackOutcome:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -218,6 +219,62 @@ def test_best_attack_scan_matches_reference_bit_for_bit(gaps, weight, block):
     with mock.patch.object(security, "SCAN_BLOCK", block):
         got = security._best_attack_on_gaps(np.array(gaps), period, weight)
     assert got == reference_best_attack(gaps, period, weight)
+
+
+def replayed_tours(inst, rng, phases, lists):
+    """Random tours replayed at power-of-two frequencies: points split into
+    2**lists - 1 tours, list i holds 2**i of them and phase j runs tour
+    j % 2**i of every list, so every point of a list shares a visit count."""
+    tours = [rng.permutation(chunk).tolist()
+             for chunk in np.array_split(np.arange(inst.n), (1 << lists) - 1)]
+    visits = []
+    for j in range(phases):
+        for i in range(lists):
+            visits.extend(tours[(1 << i) - 1 + j % (1 << i)])
+    return Schedule(tuple(visits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 999), n=st.integers(7, 40), lists=st.integers(1, 3),
+       cycles=st.integers(1, 4), scale=st.sampled_from([1.0, 1e-300, 1e150]))
+def test_per_target_best_on_replayed_tours_matches_reference_bit_for_bit(
+        seed, n, lists, cycles, scale):
+    """Many targets share a visit count, so each scan takes many rows."""
+    base = random_instance(seed, n, weight_law="pareto")
+    inst = make_instance(base.labels, base.weights, base.dist * scale)
+    s = replayed_tours(inst, np.random.default_rng(seed), cycles << (lists - 1), lists)
+    profiles, period = reference_profiles(s.visits, inst.dist, inst.n)
+    for x, (gaps, o) in enumerate(zip(profiles, per_target_best(s, inst))):
+        assert (o.duration, o.utility) == reference_best_attack(
+            gaps, period, float(inst.weights[x]))
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 4096])
+def test_grouped_scan_matches_one_row_scans(block):
+    """Blocks split across rows (64, 4096) and within one row (1, 5).
+
+    Row 4's weight is the smallest normal float, so its w * t * excess is
+    subnormal and it is scored again on its gaps divided by the period.
+    Row 5 overflows: its first candidate scores 0 * inf = NaN and a later
+    one inf, and it too is scored again.
+    """
+    rng = np.random.default_rng(7)
+    special = [([1.0, 2.0, 1.0, 2.0], 1.0), ([1.5, 1.5, 1.5, 1.5], 0.5),
+               ([0.5, 3.0, 3.0, 0.5], 0.0), ([2.0, 0.5, 1.0, 3.0], 5e-324),
+               ([0.5, 0.5, 0.5, 0.5], 2.2250738585072014e-308),
+               ([5e-324, 1e308, 1.5e308, 1.7e308], 0.5)]
+    pool = [0.5, 1.0, 1.5, 2.0, 3.0]
+    rows = [gaps for gaps, _ in special] + rng.choice(pool, size=(300, 4)).tolist()
+    weights = [w for _, w in special] + rng.choice([0.0, 0.25, 1.0], size=300).tolist()
+    period = 6.0
+    with mock.patch.object(security, "SCAN_BLOCK", block):
+        ts, us = security._best_attacks(np.array(rows), period, np.array(weights))
+        one_row = [security._best_attack_on_gaps(np.array(gaps), period, w)
+                   for gaps, w in zip(rows, weights)]
+    assert list(zip(ts.tolist(), us.tolist())) == one_row
+    assert one_row == [reference_best_attack(gaps, period, w) for gaps, w in zip(rows, weights)]
+    assert 0.0 < one_row[4][1] < sys.float_info.min
+    assert one_row[5][1] == math.inf
 
 
 class TestMixedStrategy:
