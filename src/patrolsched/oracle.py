@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,64 +43,90 @@ class OracleResult:
 
 
 @lru_cache(maxsize=None)
-def _held_karp_steps(k: int) -> tuple[np.ndarray, tuple[tuple[int, tuple], ...]]:
+def _held_karp_steps(k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Index plan of a Held-Karp table over k free points; it depends on k only.
 
     Masks are grouped by popcount c and numbered within their group by
-    ``rank``.  For every c >= 2 the plan holds the group size and, per last
-    point j, the positions of the group's masks that contain bit j and the
-    ranks of those masks without bit j in group c - 1.  Only k <= 15
-    occurs, and the largest plan takes about 2 MB.
+    ``rank``.  For every c >= 2 the plan holds a (k x size of group c)
+    array of flat indices into the step minima, a (k x size of group c - 1)
+    array: entry (j, rank S) names minimum (j, rank(S - {j})) when j is in
+    S, and the slot just past the minima, which holds inf, when it is not.
+    Only k <= 15 occurs; its plan holds k * 2^k intp entries, about 4 MB.
     """
-    masks = np.arange(1 << k, dtype=np.int64)
+    masks = np.arange(1 << k, dtype=np.intp)
     popcnt = np.zeros(1 << k, dtype=np.int8)
     for b in range(k):
         popcnt += ((masks >> b) & 1).astype(np.int8)
     by_count = [masks[popcnt == c] for c in range(k + 1)]
-    rank = np.empty(1 << k, dtype=np.int64)
+    rank = np.empty(1 << k, dtype=np.intp)
     for members in by_count:
         rank[members] = np.arange(members.size)
     layers = []
-    for members in by_count[2:]:
-        per_j = []
+    for below, members in zip(by_count[1:], by_count[2:]):
+        plan = np.full((k, members.size), k * below.size, dtype=np.intp)
         for j in range(k):
             pos = np.flatnonzero(members & (1 << j))
-            per_j.append((pos.astype(np.int32),
-                          rank[members[pos] ^ (1 << j)].astype(np.int32)))
-        layers.append((members.size, tuple(per_j)))
-    rank.flags.writeable = False  # shared by every table of this size
+            plan[j, pos] = j * below.size + rank[members[pos] ^ (1 << j)]
+        plan.flags.writeable = False  # shared by every table of this size
+        layers.append(plan)
+    rank.flags.writeable = False
     return rank, tuple(layers)
 
 
-def _held_karp_table(dist: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Held-Karp table of cheapest paths from point 0 of ``dist``.
+def _held_karp_layers(dist: np.ndarray) -> Iterator[np.ndarray]:
+    """The popcount layers of the Held-Karp table of ``dist``, one at a time.
 
     Point 0 is the fixed start, so bit i of a mask stands for point i + 1.
-    Returns ``(layers, rank)``: the cheapest path that starts at point 0,
-    visits exactly the points of ``mask`` and ends at point j + 1 costs
-    ``layers[c][j, rank[mask]]`` with c = popcount(mask), and inf when bit j
-    is not in ``mask`` (read it with ``_paths_to``).  Each popcount layer is
-    stored contiguously, so a step reads only the previous layer, which is
-    far smaller than the whole table; each (layer, j) step is one gather
-    from it and one min over the previous last point.  Every entry depends
-    only on its sub-masks, so for a mask within the first s - 1 bits the
-    first s - 1 rows equal the table of the first s points alone, bit for
-    bit.  (m-1) * 2^(m-1) entries in all.
+    Layer c is a (k x C(k, c)) array, k = m - 1: the cheapest path that
+    starts at point 0, visits exactly the points of a mask S of popcount c
+    and ends at point j + 1 costs ``layer[j, rank[S]]``, and inf when bit j
+    is not in S.  Every table is built here.
+
+    Layer c comes from layer c - 1 (``prev``, width L) in one min-plus step
+    over its rows: ``best[j, S'] = min_i prev[i, S'] + d[i, j]``, one
+    ``np.add`` and one ``np.minimum`` per row i into two reused (k x L)
+    buffers.  One gather through the plan then moves each entry with j not
+    in S' to ``(j, rank(S' | 1 << j))`` and fills the rest of the layer with
+    inf.  The entries keep the bits of the dynamic program that gathers,
+    per j, the previous layer's columns without bit j: each entry's
+    candidates are the same sums ``prev[i, S'] + d[i, j]`` over every i,
+    inf rows included, and a minimum is exact in any order.  No NaN can
+    arise, since distances are finite and positive off the diagonal, and
+    the diagonal's sums reach only the (j in S') entries the gather leaves
+    out.
     """
     k = dist.shape[0] - 1
-    rank, steps = _held_karp_steps(k)
+    _, plans = _held_karp_steps(k)
     first = np.full((k, k), np.inf)
     np.fill_diagonal(first, dist[0, 1:])  # mask 1 << j has rank j in its layer
-    layers = [np.full((k, 1), np.inf), first]
-    step = dist[1:, 1:]
-    for size, per_j in steps:
-        layer = np.full((k, size), np.inf)
-        for j, (pos, src) in enumerate(per_j):
-            paths = np.take(layers[-1], src, axis=1)
-            paths += step[:, j, None]
-            layer[j, pos] = paths.min(axis=0)
-        layers.append(layer)
-    return layers, rank
+    yield np.full((k, 1), np.inf)
+    yield first
+    prev, step = first, dist[1:, 1:]
+    best_buf, sums_buf = np.empty((2, k * math.comb(k, k // 2) + 1))
+    for plan in plans:
+        best = best_buf[:prev.size].reshape(prev.shape)
+        sums = sums_buf[:prev.size].reshape(prev.shape)
+        np.add(prev[0], step[0, :, None], out=best)
+        for i in range(1, k):
+            np.add(prev[i], step[i, :, None], out=sums)
+            np.minimum(best, sums, out=best)
+        best_buf[prev.size] = np.inf
+        prev = best_buf[:prev.size + 1].take(plan)
+        yield prev
+
+
+def _held_karp_table(dist: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Held-Karp table of cheapest paths from point 0 of ``dist``, whole.
+
+    Returns ``(layers, rank)``: every layer of :func:`_held_karp_layers`,
+    so the path through exactly ``mask`` to point j + 1 costs
+    ``layers[c][j, rank[mask]]`` with c = popcount(mask) (read it with
+    ``_paths_to``).  Every entry depends only on its sub-masks, so for a
+    mask within the first s - 1 bits the first s - 1 rows equal the table
+    of the first s points alone, bit for bit.  (m-1) * 2^(m-1) entries in
+    all.
+    """
+    return list(_held_karp_layers(dist)), _held_karp_steps(dist.shape[0] - 1)[0]
 
 
 def _paths_to(table: tuple[list[np.ndarray], np.ndarray], mask: int) -> np.ndarray:
@@ -109,10 +135,17 @@ def _paths_to(table: tuple[list[np.ndarray], np.ndarray], mask: int) -> np.ndarr
     return layers[mask.bit_count()][:, rank[mask]]
 
 
+def _closing(layer: np.ndarray, rank: np.ndarray, dist: np.ndarray, size: int) -> np.ndarray:
+    """Cost of the closed tour through points 0..size-1, per last point
+    1..size-1, from ``layer``, the table's popcount layer size - 1."""
+    return layer[:size - 1, rank[(1 << (size - 1)) - 1]] + dist[1:size, 0]
+
+
 def _closing_costs(table: tuple[list[np.ndarray], np.ndarray], dist: np.ndarray,
                    size: int) -> np.ndarray:
     """Cost of the closed tour through points 0..size-1, per last point 1..size-1."""
-    return _paths_to(table, (1 << (size - 1)) - 1)[:size - 1] + dist[1:size, 0]
+    layers, rank = table
+    return _closing(layers[size - 1], rank, dist, size)
 
 
 def _walk_back(table: tuple[list[np.ndarray], np.ndarray], dist: np.ndarray,
@@ -473,18 +506,17 @@ def _leaf_distances(dist: np.ndarray, order: np.ndarray, start: int, stop: int,
 _FIRST_TABLE_MAX = 12
 
 
-def _exact_levels(dist: np.ndarray, order: np.ndarray, ranked: np.ndarray,
-                  ends: list[int]) -> tuple[float, tuple[list[np.ndarray], np.ndarray],
-                                            np.ndarray]:
+def _exact_levels(sub: np.ndarray, ranked: np.ndarray, ends: list[int],
+                  layers: Iterable[np.ndarray]) -> float:
     """Largest ``w * TSP`` of the levels ``ends`` (ascending, at most 16
-    points), from one table over the first ``ends[-1]`` ranked points:
-    ``(value, table, sub)``, ``sub`` the distances the table was built on.
+    points), read from ``layers``: the Held-Karp layers of ``sub``, the
+    distances among the first ``ends[-1]`` ranked points.  Each level's
+    closing column is read as its layer passes, so ``layers`` may be the
+    kernel's stream, and then no layer outlives the next one's step.
     """
-    sub = dist[np.ix_(order[:ends[-1]], order[:ends[-1]])]
-    table = _held_karp_table(sub)
-    value = max(float(ranked[e - 1]) * float(np.min(_closing_costs(table, sub, e)))
-                for e in ends)
-    return value, table, sub
+    rank = _held_karp_steps(sub.shape[0] - 1)[0]
+    return max(float(ranked[c]) * float(np.min(_closing(layer, rank, sub, c + 1)))
+               for c, layer in enumerate(layers) if c + 1 in ends)
 
 
 @np.errstate(over="ignore")  # a tour too long for a double costs inf
@@ -561,10 +593,14 @@ def lower_bound(inst: Instance) -> float:
       insertion, summed as the table sums it, beats ``best``, and the
       second table is built only over the largest level kept.  Since every
       table entry depends only on its sub-masks, a prefix table gives the
-      same level values as the full one, bit for bit.
+      same level values as the full one, bit for bit.  The second table is
+      streamed: each kept level's closing column is read as its layer
+      passes, so at most two of its layers are held at once, never the
+      whole table.
 
-    Cost O(2^15 * 15^2 + n^2 log n) at most, instead of one fresh TSP or MST
-    per level.
+    Cost O(15^2 * 2^15 + n^2 log n) at most: the table's min-plus steps
+    take k^2 * 2^k additions and minima over k = 15 free points, instead
+    of one fresh TSP or MST per level.
     """
     n = inst.n
     best = float(np.max(inst.dist)) if n > 1 else 0.0
@@ -603,8 +639,9 @@ def lower_bound(inst: Instance) -> float:
             inst.dist, order[tour[tour < e]]) > best]
         first = [e for e in tsp_ends if e <= _FIRST_TABLE_MAX]
         if first and first[-1] < tsp_ends[-1]:
-            value, table, sub = _exact_levels(inst.dist, order, ranked, first)
-            best = max(best, value)
+            sub = inst.dist[np.ix_(order[:first[-1]], order[:first[-1]])]
+            table = _held_karp_table(sub)
+            best = max(best, _exact_levels(sub, ranked, first, table[0]))
             if best == math.inf:  # nothing beats it, and an overflowed table has no tour
                 return best
             closing = _closing_costs(table, sub, first[-1])
@@ -617,5 +654,6 @@ def lower_bound(inst: Instance) -> float:
                     kept.append(end)
             tsp_ends = kept
     if tsp_ends:
-        best = max(best, _exact_levels(inst.dist, order, ranked, tsp_ends)[0])
+        sub = inst.dist[np.ix_(order[:tsp_ends[-1]], order[:tsp_ends[-1]])]
+        best = max(best, _exact_levels(sub, ranked, tsp_ends, _held_karp_layers(sub)))
     return float(best)

@@ -117,9 +117,10 @@ def _best_attacks(gaps: np.ndarray, period: float,
     pairs take as many whole rows as fit; a row wider than that is scanned
     alone in ascending slices of ``SCAN_BLOCK // m`` of its distinct
     candidates.  A row's best changes only where its first maximum in a block
-    beats it, so ties resolve to the smallest duration, and a row whose first
-    maximum in a block is NaN keeps its best.  t = 0 is not scored: its
-    utility is 0, the initial best.
+    beats it, so ties resolve to the smallest duration.  A NaN utility (w * t
+    is 0 and the excess overflowed to inf) is passed over on its own, as if
+    it were never a candidate.  t = 0 is not scored: its utility is 0, the
+    initial best.
 
     When a row's best w * t * excess, or its quotient by the period, is not a
     finite normal float, the scan under- or overflowed: that row is scored on
@@ -161,7 +162,7 @@ def _best_attacks(gaps: np.ndarray, period: float,
             t = cands[r0:r1, c0:c1]
             wte = weights[r0:r1, None] * t * _excess(ls[r0:r1], t)
             u = wte / period
-            at = np.arange(len(t)), np.argmax(u, axis=1)
+            at = np.arange(len(t)), np.argmax(np.where(np.isnan(u), -np.inf, u), axis=1)
             better = u[at] > best_u[r0:r1]
             # best_*[r0:r1] are views, so the masked writes land in best_*
             best_t[r0:r1][better] = t[at][better]

@@ -99,18 +99,11 @@ def schedules_on_metrics(draw, max_n: int = 6, max_len: int = 14):
     return inst, Schedule(tuple(visits))
 
 
-def reference_held_karp(dist: np.ndarray) -> tuple[float, list[int]]:
-    """Cheapest closed tour visiting every point of ``dist`` exactly once.
-
-    Test-only reference, independent of ``oracle._held_karp_table``: a
+def reference_held_karp_dp(dist: np.ndarray) -> np.ndarray:
+    """Test-only reference, independent of ``oracle._held_karp_table``: a
     bitmask DP over (visited set, last point) laid out as ``dp[mask, j]``
-    with point 0 kept in every mask.  Ties in the reconstruction resolve to
-    the lowest index.  Returns (cost, order) with the order starting at
-    local index 0.
-    """
+    with point 0 kept in every mask; inf where j is not in the mask."""
     m = dist.shape[0]
-    if m == 1:
-        return 0.0, [0]
     full = (1 << m) - 1
     dp = np.full((full + 1, m), np.inf)
     dp[1, 0] = 0.0
@@ -128,7 +121,21 @@ def reference_held_karp(dist: np.ndarray) -> tuple[float, list[int]]:
             if sel.size == 0:
                 continue
             dp[sel, j] = np.min(dp[sel ^ bit] + dist[:, j], axis=1)
+    return dp
 
+
+def reference_held_karp(dist: np.ndarray) -> tuple[float, list[int]]:
+    """Cheapest closed tour visiting every point of ``dist`` exactly once.
+
+    Test-only reference, read from ``reference_held_karp_dp``.  Ties in the
+    reconstruction resolve to the lowest index.  Returns (cost, order) with
+    the order starting at local index 0.
+    """
+    m = dist.shape[0]
+    if m == 1:
+        return 0.0, [0]
+    full = (1 << m) - 1
+    dp = reference_held_karp_dp(dist)
     closing = dp[full] + dist[:, 0]
     closing[0] = np.inf
     j = int(np.argmin(closing))

@@ -18,8 +18,9 @@ from patrolsched.instance import TRIANGLE_TOL
 from patrolsched.oracle import (BRUTE_FORCE_MAX_POINTS, HELD_KARP_MAX, _closing_costs,
                                 _held_karp_table, _partitions_upto, _paths_to)
 from conftest import (random_instance, random_metric_instance, reference_brute_force,
-                      reference_held_karp, reference_incremental_lower_bound,
-                      reference_lower_bound, schedules_on_metrics)
+                      reference_held_karp, reference_held_karp_dp,
+                      reference_incremental_lower_bound, reference_lower_bound,
+                      schedules_on_metrics)
 
 
 def permutation_tsp(inst, subset):
@@ -70,6 +71,36 @@ class TestHeldKarp:
                                       _paths_to(fresh, mask))
             assert np.array_equal(_closing_costs(shared, dist, size),
                                   _closing_costs(fresh, fresh_dist, size))
+
+    @pytest.mark.parametrize("kind", ["metric", "grid", "huge", "subnormal"])
+    @pytest.mark.parametrize("m", range(2, HELD_KARP_MAX + 1))
+    def test_every_entry_matches_reference_dp(self, m, kind):
+        # layers[c][j, rank[mask]] is dp[(mask << 1) | 1, j + 1] bit for bit,
+        # inf entries included: on random metrics, on integer L1 distances
+        # full of ties, at 1e308 to 1.7e308 where every path of two hops or
+        # more overflows to inf, and at a subnormal scale
+        rng = np.random.default_rng(100 + m)
+        if kind == "grid":
+            cells = np.divmod(rng.choice(25, size=m, replace=False), 5)
+            cells = np.stack(cells, axis=1)
+            dist = np.abs(cells[:, None, :] - cells[None, :, :]).sum(axis=2).astype(float)
+        elif kind == "huge":
+            stretch = np.triu(rng.uniform(0.0, 0.7, size=(m, m)), 1)
+            dist = 1e308 * (1.0 + stretch + stretch.T) * (1.0 - np.eye(m))
+        else:
+            dist = random_metric_instance(rng, m).dist * {"metric": 1.0, "subnormal": 1e-320}[kind]
+        with np.errstate(over="ignore"):
+            layers, rank = _held_karp_table(dist)
+            dp = reference_held_karp_dp(dist)
+        masks = np.arange(1 << (m - 1))
+        counts = np.array([mask.bit_count() for mask in masks.tolist()])
+        for c, layer in enumerate(layers):
+            of_c = masks[counts == c]
+            got = layer[:, rank[of_c]]
+            want = dp[(of_c << 1) | 1, 1:].T
+            assert got.tobytes() == want.tobytes(), (m, kind, c)
+        if kind == "huge":
+            assert all(np.isinf(layer).all() for layer in layers[2:])
 
     @pytest.mark.parametrize("m", range(2, HELD_KARP_MAX + 1))
     def test_matches_reference_dp(self, m):
@@ -496,8 +527,10 @@ class TestLowerBoundPruning:
         dist = np.hypot(*(coords[:, None, :] - coords[None, :, :]).transpose(2, 0, 1))
         weights = np.concatenate([np.linspace(1.0, 0.9, 5), np.full(30, 0.5)])
         inst = make_instance([f"p{i}" for i in range(35)], weights, dist)
-        tables = _record_calls(monkeypatch, "_held_karp_table")
-        assert lower_bound(inst) == reference_incremental_lower_bound(inst)
+        expected = reference_incremental_lower_bound(inst)
+        # every table, streamed or whole, is built by this one kernel
+        tables = _record_calls(monkeypatch, "_held_karp_layers")
+        assert lower_bound(inst) == expected
         assert tables == []
 
     def test_insertion_bound_rules_out_the_top_table(self, monkeypatch):
@@ -512,9 +545,31 @@ class TestLowerBoundPruning:
                              dist)
         greedy = oracle._nearest_neighbour_tour(dist, np.arange(16))
         assert 0.7 * oracle._tour_length(dist, greedy) > held_karp_tsp(inst, range(12)).value
-        tables = _record_calls(monkeypatch, "_held_karp_table")
-        assert lower_bound(inst) == reference_incremental_lower_bound(inst)
+        expected = reference_incremental_lower_bound(inst)
+        tables = _record_calls(monkeypatch, "_held_karp_layers")
+        assert lower_bound(inst) == expected
         assert [len(sub) for sub, in tables] == [12]
+
+    def test_streamed_final_table_reads_four_levels(self, monkeypatch):
+        # twelve points of weight 1 on the unit circle and four lighter ones
+        # pushed out to radius 1.6 between them: each light point lengthens
+        # the tour by far more than its weight drops, so levels 13 to 16
+        # all survive the insertion bound and are read from one streamed
+        # 16-point table
+        heavy = 2 * np.pi * np.arange(12) / 12
+        light = 2 * np.pi * (np.array([0, 3, 6, 9]) + 0.5) / 12
+        coords = np.concatenate([np.stack([np.cos(heavy), np.sin(heavy)], axis=1),
+                                 1.6 * np.stack([np.cos(light), np.sin(light)], axis=1)])
+        dist = np.hypot(*(coords[:, None, :] - coords[None, :, :]).transpose(2, 0, 1))
+        inst = make_instance([f"p{i}" for i in range(16)],
+                             [1.0] * 12 + [0.99, 0.98, 0.97, 0.96], dist)
+        expected = reference_incremental_lower_bound(inst)
+        assert expected == 0.96 * held_karp_tsp(inst).value  # the lightest level binds
+        tables = _record_calls(monkeypatch, "_held_karp_layers")
+        levels = _record_calls(monkeypatch, "_exact_levels")
+        assert lower_bound(inst).hex() == expected.hex()
+        assert [len(sub) for sub, in tables] == [12, 16]
+        assert [ends for _, _, ends, _ in levels] == [[12], [13, 14, 15, 16]]
 
     def test_overflowed_first_table_gives_inf(self):
         # 14 points pairwise 1e308 apart: every tour of the 12 heaviest

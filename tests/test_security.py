@@ -221,6 +221,17 @@ def test_best_attack_scan_matches_reference_bit_for_bit(gaps, weight, block):
     assert got == reference_best_attack(gaps, period, weight)
 
 
+@pytest.mark.parametrize("block", [1, 5, security.SCAN_BLOCK])
+def test_nan_candidate_is_skipped_alone(block):
+    """At period 1 no rescaled scan runs.  The first candidate scores
+    0.5 * 5e-324 * inf = 0 * inf = NaN; a later one in the same block scores
+    inf and must still win, as it does in the reference."""
+    gaps = [5e-324, 1e308, 1.5e308, 1.7e308]
+    with mock.patch.object(security, "SCAN_BLOCK", block):
+        got = security._best_attack_on_gaps(np.array(gaps), 1.0, 0.5)
+    assert got == reference_best_attack(gaps, 1.0, 0.5) == (1e308, math.inf)
+
+
 def replayed_tours(inst, rng, phases, lists):
     """Random tours replayed at power-of-two frequencies: points split into
     2**lists - 1 tours, list i holds 2**i of them and phase j runs tour
