@@ -54,8 +54,9 @@ from .oracle import (BRUTE_FORCE_MAX_POINTS, BRUTE_FORCE_MAX_PERIOD,
                      HELD_KARP_MAX, OracleResult, brute_force_weighted_opt,
                      held_karp_tsp, partition_tree_cover_oracle)
 from .planner import plan
-from .schedule import (Schedule, period_length, point_costs, schedule_from_document,
-                       schedule_to_document, weighted_objective, worst_weighted)
+from .schedule import (Schedule, _validate_p, period_length, point_costs,
+                       schedule_from_document, schedule_to_document, weighted_objective,
+                       worst_weighted)
 from .security import (AttackOutcome, MixedStrategy, mix_tours, per_target_best,
                        strategy_from_document, strongest_attack)
 from .treecover import minmax_tree_cover
@@ -127,12 +128,9 @@ def _read_instance_file(path: str | Path) -> tuple[bytes, dict[str, Any]]:
 
 def _parse_p(text: str) -> float:
     try:
-        value = float(text)
+        return _validate_p(float(text))
     except ValueError:
         raise ValueError(f"--p must be 'inf' or a number >= 2, got {text!r}") from None
-    if math.isnan(value) or value < 2.0:
-        raise ValueError(f"--p must be 'inf' or a number >= 2, got {text!r}")
-    return value
 
 
 def _parse_subset(inst: Instance, text: str | None) -> list[int] | None:

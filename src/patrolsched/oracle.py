@@ -10,6 +10,10 @@ and the planner and tree cover are tested against them.
 the largest ``w * TSP`` over the heaviest-first weight levels (Held-Karp up
 to 16 points, an MST above) and the largest distance.  Its MSTs and the
 oracle's block MSTs come from ``mst._subset_mst``, like the tree covers'.
+
+Every Held-Karp table is the list of popcount layers that
+``_held_karp_layers`` yields; ``_shortest_tour`` turns one into its
+cheapest tour for both ``held_karp_tsp`` and ``lower_bound``.
 """
 from __future__ import annotations
 
@@ -47,10 +51,13 @@ def _held_karp_steps(k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Index plan of a Held-Karp table over k free points; it depends on k only.
 
     Masks are grouped by popcount c and numbered within their group by
-    ``rank``.  For every c >= 2 the plan holds a (k x size of group c)
-    array of flat indices into the step minima, a (k x size of group c - 1)
-    array: entry (j, rank S) names minimum (j, rank(S - {j})) when j is in
-    S, and the slot just past the minima, which holds inf, when it is not.
+    ``rank``, which only the walk-back of :func:`_shortest_tour` reads.
+    Masks below 2^k' come first in their group, so a smaller k's ``rank``
+    is a prefix of this one.  For every c >= 2 the plan holds a (k x size
+    of group c) array of flat indices into the step minima, a (k x size of
+    group c - 1) array: entry (j, rank S) names minimum (j, rank(S - {j}))
+    when j is in S, and the slot just past the minima, which holds inf,
+    when it is not.
     Only k <= 15 occurs; its plan holds k * 2^k intp entries, about 4 MB.
     """
     masks = np.arange(1 << k, dtype=np.intp)
@@ -80,7 +87,9 @@ def _held_karp_layers(dist: np.ndarray) -> Iterator[np.ndarray]:
     Layer c is a (k x C(k, c)) array, k = m - 1: the cheapest path that
     starts at point 0, visits exactly the points of a mask S of popcount c
     and ends at point j + 1 costs ``layer[j, rank[S]]``, and inf when bit j
-    is not in S.  Every table is built here.
+    is not in S.  Every table is built here.  Every entry depends only on
+    its sub-masks, so the first rows and columns of each layer are the
+    table of any prefix of the points, bit for bit.
 
     Layer c comes from layer c - 1 (``prev``, width L) in one min-plus step
     over its rows: ``best[j, S'] = min_i prev[i, S'] + d[i, j]``, one
@@ -115,58 +124,41 @@ def _held_karp_layers(dist: np.ndarray) -> Iterator[np.ndarray]:
         yield prev
 
 
-def _held_karp_table(dist: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Held-Karp table of cheapest paths from point 0 of ``dist``, whole.
-
-    Returns ``(layers, rank)``: every layer of :func:`_held_karp_layers`,
-    so the path through exactly ``mask`` to point j + 1 costs
-    ``layers[c][j, rank[mask]]`` with c = popcount(mask) (read it with
-    ``_paths_to``).  Every entry depends only on its sub-masks, so for a
-    mask within the first s - 1 bits the first s - 1 rows equal the table
-    of the first s points alone, bit for bit.  (m-1) * 2^(m-1) entries in
-    all.
-    """
-    return list(_held_karp_layers(dist)), _held_karp_steps(dist.shape[0] - 1)[0]
-
-
-def _paths_to(table: tuple[list[np.ndarray], np.ndarray], mask: int) -> np.ndarray:
-    """Cheapest path from point 0 through exactly ``mask``, per last point 1..m-1."""
-    layers, rank = table
-    return layers[mask.bit_count()][:, rank[mask]]
-
-
-def _closing(layer: np.ndarray, rank: np.ndarray, dist: np.ndarray, size: int) -> np.ndarray:
+def _closing(layer: np.ndarray, dist: np.ndarray, size: int) -> np.ndarray:
     """Cost of the closed tour through points 0..size-1, per last point
-    1..size-1, from ``layer``, the table's popcount layer size - 1."""
-    return layer[:size - 1, rank[(1 << (size - 1)) - 1]] + dist[1:size, 0]
+    1..size-1, from ``layer``, the table's popcount layer size - 1.  Its
+    mask, bits 0..size-2, is the smallest of its popcount, so it is column
+    0 at every table size."""
+    return layer[:size - 1, 0] + dist[1:size, 0]
 
 
-def _closing_costs(table: tuple[list[np.ndarray], np.ndarray], dist: np.ndarray,
-                   size: int) -> np.ndarray:
-    """Cost of the closed tour through points 0..size-1, per last point 1..size-1."""
-    layers, rank = table
-    return _closing(layers[size - 1], rank, dist, size)
+def _shortest_tour(dist: np.ndarray) -> tuple[list[np.ndarray], float, list[int] | None]:
+    """The Held-Karp table of ``dist`` as its list of layers, the cheapest
+    tour's cost, and that tour as positions starting at point 0, or None
+    when the cost is not finite.
 
-
-def _walk_back(table: tuple[list[np.ndarray], np.ndarray], dist: np.ndarray,
-               last: int) -> list[int]:
-    """The cheapest tour through every point of ``dist`` that closes from
-    point ``last``, as positions starting at point 0; ``table`` is the
-    Held-Karp table of ``dist``.
-
-    It walks the table back from the full mask, each step to the previous
+    The tour closes from the lowest last point of least closing cost, then
+    walks the table back from the full mask, each step to the previous
     point whose path plus hop is least, ties to the lowest point: the sums
     the table took its minima over, so the tour's cost is the table's.
     """
-    order = [last]
-    mask, j = (1 << (dist.shape[0] - 1)) - 1, last - 1
+    layers = list(_held_karp_layers(dist))
+    m = dist.shape[0]
+    closing = _closing(layers[m - 1], dist, m)
+    j = int(np.argmin(closing))
+    value = float(closing[j])
+    if not math.isfinite(value):
+        return layers, value, None
+    rank = _held_karp_steps(m - 1)[0]
+    order = [j + 1]
+    mask = (1 << (m - 1)) - 1
     while mask != 1 << j:
         mask ^= 1 << j
-        j = int(np.argmin(_paths_to(table, mask) + dist[1:, j + 1]))
+        j = int(np.argmin(layers[mask.bit_count()][:, rank[mask]] + dist[1:, j + 1]))
         order.append(j + 1)
     order.append(0)
     order.reverse()
-    return order
+    return layers, value, order
 
 
 @np.errstate(over="ignore")  # a tour too long for a double costs inf
@@ -184,15 +176,10 @@ def held_karp_tsp(inst: Instance, subset: Sequence[int] | None = None) -> Oracle
     bound = {"method": "held-karp", "points": m}
     if m == 1:
         return OracleResult(0.0, Schedule((verts[0],)), bound)
-    sub = inst.dist[np.ix_(verts, verts)]
-    table = _held_karp_table(sub)
-    closing = _closing_costs(table, sub, m)
-    j = int(np.argmin(closing))
-    value = float(closing[j])
-    if not math.isfinite(value):
+    _, value, order = _shortest_tour(inst.dist[np.ix_(verts, verts)])
+    if order is None:
         raise ValueError(f"TSP cost is not finite ({value!r}): the distances "
                          "are too large to sum in floating point")
-    order = _walk_back(table, sub, j + 1)
     return OracleResult(value, Schedule(tuple(verts[i] for i in order)), bound)
 
 
@@ -514,8 +501,7 @@ def _exact_levels(sub: np.ndarray, ranked: np.ndarray, ends: list[int],
     closing column is read as its layer passes, so ``layers`` may be the
     kernel's stream, and then no layer outlives the next one's step.
     """
-    rank = _held_karp_steps(sub.shape[0] - 1)[0]
-    return max(float(ranked[c]) * float(np.min(_closing(layer, rank, sub, c + 1)))
+    return max(float(ranked[c]) * float(np.min(_closing(layer, sub, c + 1)))
                for c, layer in enumerate(layers) if c + 1 in ends)
 
 
@@ -640,12 +626,11 @@ def lower_bound(inst: Instance) -> float:
         first = [e for e in tsp_ends if e <= _FIRST_TABLE_MAX]
         if first and first[-1] < tsp_ends[-1]:
             sub = inst.dist[np.ix_(order[:first[-1]], order[:first[-1]])]
-            table = _held_karp_table(sub)
-            best = max(best, _exact_levels(sub, ranked, first, table[0]))
-            if best == math.inf:  # nothing beats it, and an overflowed table has no tour
+            layers, _, positions = _shortest_tour(sub)
+            best = max(best, _exact_levels(sub, ranked, first, layers))
+            if positions is None:  # the table overflowed, so best is inf
                 return best
-            closing = _closing_costs(table, sub, first[-1])
-            tour = order[_walk_back(table, sub, 1 + int(np.argmin(closing)))]
+            tour = order[positions]
             kept = []
             for end in tsp_ends[len(first):]:
                 for point in order[tour.size:end]:

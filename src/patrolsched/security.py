@@ -181,13 +181,6 @@ def _best_attacks(gaps: np.ndarray, period: float,
     return best_t, best_u
 
 
-def _best_attack_on_gaps(gaps: np.ndarray, period: float, weight: float) -> tuple[float, float]:
-    """(duration, utility) maximizing w * t * sum(max(l - t, 0)) / period:
-    the one-row case of :func:`_best_attacks`."""
-    t, u = _best_attacks(np.asarray(gaps, dtype=float)[None, :], period, np.array([weight]))
-    return float(t[0]), float(u[0])
-
-
 def per_target_best(s: Schedule, inst: Instance) -> list[AttackOutcome]:
     """The attacker's best (duration, utility) against every point.
 

@@ -15,9 +15,10 @@ from patrolsched.instance import (_WITNESS_CAP, TRIANGLE_TOL, InstanceFormatErro
 from patrolsched.mst import (_adjacency, _find, _normalize_subset, _spanning_forest,
                              _tree_from_edges)
 from patrolsched.oracle import (BRUTE_FORCE_MAX_PERIOD, BRUTE_FORCE_MAX_POINTS,
-                                HELD_KARP_MAX, OracleResult, _closing_costs,
-                                _grow_spanning_tree, _held_karp_table)
+                                HELD_KARP_MAX, OracleResult, _closing,
+                                _grow_spanning_tree, _held_karp_layers)
 from patrolsched.schedule import _cost_of_gaps, _profiles, _validate_p, worst_weighted
+from patrolsched.security import _best_attacks
 from patrolsched.treecover import _critical_pair, _pieces, _threshold
 
 # Per-criterion verdict lines recorded by the acceptance suite; echoed in the
@@ -100,9 +101,10 @@ def schedules_on_metrics(draw, max_n: int = 6, max_len: int = 14):
 
 
 def reference_held_karp_dp(dist: np.ndarray) -> np.ndarray:
-    """Test-only reference, independent of ``oracle._held_karp_table``: a
-    bitmask DP over (visited set, last point) laid out as ``dp[mask, j]``
-    with point 0 kept in every mask; inf where j is not in the mask."""
+    """Test-only reference, independent of the package's one table form,
+    the layer list of ``oracle._held_karp_layers``: a bitmask DP over
+    (visited set, last point) laid out as ``dp[mask, j]`` with point 0 kept
+    in every mask; inf where j is not in the mask."""
     m = dist.shape[0]
     full = (1 << m) - 1
     dp = np.full((full + 1, m), np.inf)
@@ -191,8 +193,8 @@ def reference_incremental_lower_bound(inst: Instance) -> float:
     tsp = {1: 0.0}
     if tsp_size >= 2:
         sub = inst.dist[np.ix_(order[:tsp_size], order[:tsp_size])]
-        table = _held_karp_table(sub)
-        tsp.update((e, float(np.min(_closing_costs(table, sub, e))))
+        layers = list(_held_karp_layers(sub))
+        tsp.update((e, float(np.min(_closing(layers[e - 1], sub, e))))
                    for e in ends if 2 <= e <= tsp_size)
     empty = np.zeros(0, dtype=np.int64)
     tree, covered = (empty, empty), 0
@@ -358,11 +360,12 @@ def reference_profiles(visits, dist: np.ndarray, n: int) -> tuple[list[list[floa
 def reference_best_attack(gaps: list[float], period: float, weight: float) -> tuple[float, float]:
     """(duration, utility) maximizing w * t * sum(max(l - t, 0)) / period.
 
-    Test-only reference for ``security._best_attack_on_gaps``: the candidate
-    durations are the ends of the intervals between sorted absence lengths
-    and each interval's parabola vertex; every candidate is scored in
-    ascending order with an explicit left-to-right sum (``sum()`` of floats
-    is compensated from Python 3.12 on), and the first strict maximum wins.
+    Test-only reference for ``security._best_attacks``, one row at a time
+    (``best_attack_one_row``): the candidate durations are the ends of the
+    intervals between sorted absence lengths and each interval's parabola
+    vertex; every candidate is scored in ascending order with an explicit
+    left-to-right sum (``sum()`` of floats is compensated from Python 3.12
+    on), and the first strict maximum wins.
     The range rule is the kernel's: when the best w * t * excess, or its
     quotient by the period, is not a finite normal float, the gaps are
     scored divided by the period and the answer multiplied back, and a
@@ -404,6 +407,17 @@ def reference_best_attack(gaps: list[float], period: float, weight: float) -> tu
         if weight >= normal or u_unit * period >= normal:
             return t_unit * period, u_unit * period
     return best_t, best_u
+
+
+def best_attack_one_row(gaps, period: float, weight: float) -> tuple[float, float]:
+    """``security._best_attacks`` on the single row ``gaps`` at ``weight``,
+    as a (duration, utility) pair of floats.
+
+    Test-only wrapper; it replaces the package's one-row
+    ``security._best_attack_on_gaps``, which nothing in the package called.
+    """
+    t, u = _best_attacks(np.asarray(gaps, dtype=float)[None, :], period, np.array([weight]))
+    return float(t[0]), float(u[0])
 
 
 def left_fold(values) -> float:

@@ -15,8 +15,8 @@ from patrolsched import (GEOMETRIES, WEIGHT_LAWS, RandomSpec, Schedule,
                          partition_tree_cover_oracle, period_length,
                          weighted_objective)
 from patrolsched.instance import TRIANGLE_TOL
-from patrolsched.oracle import (BRUTE_FORCE_MAX_POINTS, HELD_KARP_MAX, _closing_costs,
-                                _held_karp_table, _partitions_upto, _paths_to)
+from patrolsched.oracle import (BRUTE_FORCE_MAX_POINTS, HELD_KARP_MAX, _closing,
+                                _held_karp_layers, _held_karp_steps, _partitions_upto)
 from conftest import (random_instance, random_metric_instance, reference_brute_force,
                       reference_held_karp, reference_held_karp_dp,
                       reference_incremental_lower_bound, reference_lower_bound,
@@ -59,26 +59,37 @@ class TestHeldKarp:
         assert res.witness.visits == (2,)
 
     def test_prefix_columns_equal_fresh_tables(self):
+        # each size's mask ranks are a prefix of the largest size's, and the
+        # full mask of c bits, the smallest of its popcount, has rank 0: so
+        # _closing reads column 0 at every table size
+        shared_rank = _held_karp_steps(HELD_KARP_MAX - 1)[0]
+        for k in range(1, HELD_KARP_MAX):
+            rank = _held_karp_steps(k)[0]
+            assert np.array_equal(rank, shared_rank[:1 << k]), k
+            assert all(rank[(1 << c) - 1] == 0 for c in range(k + 1)), k
         # every prefix of the points, read from one shared table, is bit for
         # bit the table of that prefix alone (same start vertex 0)
         dist = random_metric_instance(np.random.default_rng(5), HELD_KARP_MAX).dist
-        shared = _held_karp_table(dist)
+        shared = list(_held_karp_layers(dist))
         for size in range(2, HELD_KARP_MAX + 1):
             fresh_dist = dist[:size, :size]
-            fresh = _held_karp_table(fresh_dist)
+            fresh = list(_held_karp_layers(fresh_dist))
+            rank = _held_karp_steps(size - 1)[0]
             for mask in range(1, 1 << (size - 1)):
-                assert np.array_equal(_paths_to(shared, mask)[:size - 1],
-                                      _paths_to(fresh, mask))
-            assert np.array_equal(_closing_costs(shared, dist, size),
-                                  _closing_costs(fresh, fresh_dist, size))
+                c = mask.bit_count()
+                assert np.array_equal(shared[c][:size - 1, shared_rank[mask]],
+                                      fresh[c][:, rank[mask]])
+            assert np.array_equal(_closing(shared[size - 1], dist, size),
+                                  _closing(fresh[size - 1], fresh_dist, size))
 
     @pytest.mark.parametrize("kind", ["metric", "grid", "huge", "subnormal"])
     @pytest.mark.parametrize("m", range(2, HELD_KARP_MAX + 1))
     def test_every_entry_matches_reference_dp(self, m, kind):
         # layers[c][j, rank[mask]] is dp[(mask << 1) | 1, j + 1] bit for bit,
-        # inf entries included: on random metrics, on integer L1 distances
-        # full of ties, at 1e308 to 1.7e308 where every path of two hops or
-        # more overflows to inf, and at a subnormal scale
+        # inf entries included, and so are the closing costs: on random
+        # metrics, on integer L1 distances full of ties, at 1e308 to 1.7e308
+        # where every path of two hops or more overflows to inf, and at a
+        # subnormal scale
         rng = np.random.default_rng(100 + m)
         if kind == "grid":
             cells = np.divmod(rng.choice(25, size=m, replace=False), 5)
@@ -90,8 +101,11 @@ class TestHeldKarp:
         else:
             dist = random_metric_instance(rng, m).dist * {"metric": 1.0, "subnormal": 1e-320}[kind]
         with np.errstate(over="ignore"):
-            layers, rank = _held_karp_table(dist)
+            layers = list(_held_karp_layers(dist))
+            closing = _closing(layers[m - 1], dist, m)
             dp = reference_held_karp_dp(dist)
+            want_closing = dp[-1, 1:] + dist[1:, 0]
+        rank = _held_karp_steps(m - 1)[0]
         masks = np.arange(1 << (m - 1))
         counts = np.array([mask.bit_count() for mask in masks.tolist()])
         for c, layer in enumerate(layers):
@@ -99,6 +113,7 @@ class TestHeldKarp:
             got = layer[:, rank[of_c]]
             want = dp[(of_c << 1) | 1, 1:].T
             assert got.tobytes() == want.tobytes(), (m, kind, c)
+        assert closing.tobytes() == want_closing.tobytes(), (m, kind)
         if kind == "huge":
             assert all(np.isinf(layer).all() for layer in layers[2:])
 

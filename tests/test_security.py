@@ -18,7 +18,7 @@ from patrolsched import (AttackOutcome, MixedStrategy, Schedule, UNBOUNDED, abse
                          strategy_to_document, strongest_attack,
                          success_probability)
 from patrolsched import security
-from conftest import (random_instance, reference_best_attack,
+from conftest import (best_attack_one_row, random_instance, reference_best_attack,
                       reference_profiles, schedules_on_metrics)
 
 
@@ -217,7 +217,7 @@ def test_best_attack_scan_matches_reference_bit_for_bit(gaps, weight, block):
     for g in gaps:
         period += g
     with mock.patch.object(security, "SCAN_BLOCK", block):
-        got = security._best_attack_on_gaps(np.array(gaps), period, weight)
+        got = best_attack_one_row(np.array(gaps), period, weight)
     assert got == reference_best_attack(gaps, period, weight)
 
 
@@ -228,7 +228,7 @@ def test_nan_candidate_is_skipped_alone(block):
     inf and must still win, as it does in the reference."""
     gaps = [5e-324, 1e308, 1.5e308, 1.7e308]
     with mock.patch.object(security, "SCAN_BLOCK", block):
-        got = security._best_attack_on_gaps(np.array(gaps), 1.0, 0.5)
+        got = best_attack_one_row(np.array(gaps), 1.0, 0.5)
     assert got == reference_best_attack(gaps, 1.0, 0.5) == (1e308, math.inf)
 
 
@@ -280,7 +280,7 @@ def test_grouped_scan_matches_one_row_scans(block):
     period = 6.0
     with mock.patch.object(security, "SCAN_BLOCK", block):
         ts, us = security._best_attacks(np.array(rows), period, np.array(weights))
-        one_row = [security._best_attack_on_gaps(np.array(gaps), period, w)
+        one_row = [best_attack_one_row(np.array(gaps), period, w)
                    for gaps, w in zip(rows, weights)]
     assert list(zip(ts.tolist(), us.tolist())) == one_row
     assert one_row == [reference_best_attack(gaps, period, w) for gaps, w in zip(rows, weights)]
