@@ -93,9 +93,8 @@ def validate_metric(dist: np.ndarray) -> MetricReport:
 
     The triangle inequality is checked for every ordered triple with the
     relative tolerance ``TRIANGLE_TOL``: ``d[i,k] > (d[i,j] + d[j,k]) *
-    (1 + TRIANGLE_TOL)`` counts as a violation.  The lower bound's pruning
-    margin assumes this tolerance for every instance.  A non-finite entry
-    skips the other checks.
+    (1 + TRIANGLE_TOL)`` counts as a violation.  A non-finite entry skips
+    the other checks.
 
     Each kind is found as one boolean mask (the triangles as one mask per
     middle point j) and counted exactly from it; only the first

@@ -7,7 +7,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .instance import Instance
-from .schedule import Schedule
+from .schedule import Schedule, _point_indices
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,11 @@ def _spanning_forest(dist: np.ndarray, vertices: Sequence[int],
 
 
 def _normalize_subset(inst: Instance, subset: Sequence[int] | None) -> tuple[int, ...]:
+    """``subset`` as ascending distinct point indices, every point for None;
+    an entry that is not an integer raises ValueError naming it."""
     if subset is None:
         return tuple(range(inst.n))
-    out = sorted({int(x) for x in subset})
+    out = sorted(set(_point_indices(subset, "subset entry")))
     if not out:
         raise ValueError("subset must be non-empty")
     if out[0] < 0 or out[-1] >= inst.n:

@@ -26,7 +26,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .instance import TRIANGLE_TOL, Instance
+from .instance import Instance
 from .mst import _fold, _normalize_subset, _spanning_forest, _subset_mst
 from .schedule import Schedule, _cost_of_gaps, _profiles, _validate_p, worst_weighted
 
@@ -467,20 +467,19 @@ def _insert_cheapest(dist: np.ndarray, tour: np.ndarray, point: int) -> np.ndarr
 _LEAF_ROWS = 64
 
 
-def _leaf_distances(dist: np.ndarray, order: np.ndarray, start: int, stop: int,
-                    ) -> np.ndarray:
-    """Distance from each of the ranked points ``order[start:stop]`` to its
-    nearest earlier-ranked point; ``start`` >= 1.
+def _leaf_distances(dist: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Distance from each ranked point after the first, ``order[1:]``, to its
+    nearest earlier-ranked point.
 
     The rows are gathered ``_LEAF_ROWS`` at a time, each block only up to
     its last row's rank, so no n x n copy is made.
     """
-    leaves = np.empty(stop - start)
-    for lo in range(start, stop, _LEAF_ROWS):
-        hi = min(lo + _LEAF_ROWS, stop)
+    leaves = np.empty(order.size - 1)
+    for lo in range(1, order.size, _LEAF_ROWS):
+        hi = min(lo + _LEAF_ROWS, order.size)
         block = dist[order[lo:hi, None], order[:hi]]
         block[np.arange(hi) >= np.arange(lo, hi)[:, None]] = np.inf
-        block.min(axis=1, out=leaves[lo - start:hi - start])
+        block.min(axis=1, out=leaves[lo - 1:hi - 1])
     return leaves
 
 
@@ -537,35 +536,25 @@ def lower_bound(inst: Instance) -> float:
     of at most n non-negative terms, added in any order, is within a factor
     (1 + 2u)^n of the exact sum.)
 
-    * MST levels (done first), two tests in turn.  The tour test: ``U`` is
-      the length of a nearest-neighbour tour through all n points.
-      Shortcutting it to a level's points gives a cycle through them, and
-      a cycle minus one edge spans them, so the level's exact MST is at
-      most the shortcut cycle.  The metric passed ``validate_metric`` at
-      ``TRIANGLE_TOL``, so each shortcut stretches the cycle by at most
-      (1 + tol)(1 + u)^3 (at most 1 + 2 tol where the check's product is
-      subnormal), and at most n shortcuts are taken.  So ``reach = U *
-      (1 + 4 tol)^(n + 2)`` is at least every level's summed MST cost as
-      real numbers, hence, rounding being monotone, at least it as floats.
-      Weights fall along the ranking while ``reach`` stays, so the tree
-      stops growing at the first level with ``w * reach <= best``.
-    * The leaf test, for a level that passes the tour test.  Let k be the
-      last level computed exactly, with float cost c_k, and leaf(i) the
+    * MST levels (done first), one test.  Let k be the last level computed
+      exactly, with float cost c_k (0 before the first), and leaf(i) the
       distance from the i-th ranked point to its nearest earlier-ranked
-      point.  The tree of level k plus the leaf edges of the points ranked
-      after it spans level j, so its MST is at most c_k + sum of those
-      leaf(i) as real numbers.  No shortcut is taken, so only rounding
-      needs a margin.  c_k and the leaf sum are each within (1 + 2u)^n of
-      their exact sums, adding them rounds once, the level's own float
-      cost is within (1 + 2u)^n of its exact sum, and the product with the
-      margin rounds once more: (1 + 2u)^(2n + 3) in all, which the margin
-      ``(1 + 2 eps)^(n + 2)`` (eps = 2u) exceeds even after its own
-      rounding for any n below 10^15.  Where that sum is subnormal, every
-      addition is exact and a margin of 1 suffices.  So ``(c_k + leaves) *
-      margin`` is at least the level's float cost, and a level with ``w``
-      times it ``<= best`` is skipped; its points join the next exact
-      level in one batch.  The leaf distances are taken only for levels
-      that pass the tour test.
+      point, gathered for every point in one pass.  The tree of level k
+      plus the leaf edges of the points ranked after it spans level j, so
+      its MST is at most c_k + sum of those leaf(i) as real numbers.  No
+      shortcut is taken, so only rounding needs a margin.  c_k and the leaf
+      sum are each within (1 + 2u)^n of their exact sums, adding them
+      rounds once, the level's own float cost is within (1 + 2u)^n of its
+      exact sum, and the product with the margin rounds once more:
+      (1 + 2u)^(2n + 3) in all, which the margin ``(1 + 2 eps)^(n + 2)``
+      (eps = 2u) exceeds even after its own rounding for any n below
+      10^15.  Where that sum is subnormal, every addition is exact and a
+      margin of 1 suffices.  So ``(c_k + leaves) * margin`` is at least the
+      level's float cost, and a level with ``w`` times it ``<= best`` is
+      skipped; its points join the next exact level in one batch.  Weights
+      fall along the ranking, so once ``w`` times c_k plus every leaf left
+      is at most ``best``, the test skips every later level too, and no
+      separate stop test is needed.
     * Held-Karp levels, two tables.  The table sums a tour from the
       heaviest point left to right, the closing hop last, and keeps the
       minimum over tours at every step; float addition is monotone, so its
@@ -596,18 +585,14 @@ def lower_bound(inst: Instance) -> float:
     prune = len(ends) > 1
     mst_ends = [e for e in ends if e > HELD_KARP_MAX]
     if mst_ends:
-        reach = math.inf
         if prune:
-            tour = order[_nearest_neighbour_tour(inst.dist, order)]
-            reach = _tour_length(inst.dist, tour) * (1.0 + 4.0 * TRIANGLE_TOL) ** (n + 2)
+            leaf = _leaf_distances(inst.dist, order)
             margin = (1.0 + 2.0 * sys.float_info.epsilon) ** (n + 2)
         cost, covered, leaves = 0.0, 0, 0.0
         for start, end in zip([1, *mst_ends], mst_ends):
             weight = float(ranked[end - 1])
-            if weight * reach <= best:
-                break
             if prune:
-                leaves += _fold(_leaf_distances(inst.dist, order, start, end).tolist())
+                leaves += _fold(leaf[start - 1:end - 1].tolist())
                 if weight * ((cost + leaves) * margin) <= best:
                     continue
             if covered:

@@ -23,13 +23,25 @@ import operator
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .instance import Instance
 
 UNBOUNDED = math.inf
+
+
+def _point_indices(values: Iterable[Any], what: str) -> tuple[int, ...]:
+    """``values`` as point indices: each an ``int``, ``bool`` or numpy
+    integer.  A float or any other value raises ValueError naming it as
+    ``what``, instead of being truncated to a point."""
+    values = tuple(values)  # read twice on an error, so not a one-shot iterator
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:  # a float, string or None: not a point index
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ValueError(f"{what} {bad!r} is not a point index") from None
 
 
 def _collapse(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -53,11 +65,7 @@ class Schedule:
     visits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            visits = tuple(map(operator.index, self.visits))
-        except TypeError:  # a float, string or None: not a point index
-            bad = next(v for v in self.visits if not hasattr(v, "__index__"))
-            raise ValueError(f"schedule visit {bad!r} is not a point index") from None
+        visits = _point_indices(self.visits, "schedule visit")
         if not visits:
             raise ValueError("a schedule must contain at least one visit")
         object.__setattr__(self, "visits", _collapse(visits))

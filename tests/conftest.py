@@ -264,8 +264,7 @@ def reference_validate_metric(dist: np.ndarray) -> MetricReport:
 
     The triangle inequality is checked for every ordered triple with the
     relative tolerance ``TRIANGLE_TOL``: ``d[i,k] > (d[i,j] + d[j,k]) *
-    (1 + TRIANGLE_TOL)`` counts as a violation.  The lower bound's pruning
-    margin assumes this tolerance for every instance.
+    (1 + TRIANGLE_TOL)`` counts as a violation.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:

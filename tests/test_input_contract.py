@@ -27,8 +27,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patrolsched import (RandomSpec, Schedule, absence_profile, brute_force_weighted_opt,
-                         instance_from_document, minimum_spanning_tree, success_probability,
-                         validate_metric)
+                         held_karp_tsp, instance_from_document, minimum_spanning_tree,
+                         minmax_tree_cover, success_probability, validate_metric)
 from patrolsched.cli import main
 from patrolsched.oracle import BRUTE_FORCE_MAX_PERIOD
 from patrolsched.planner import build_lists
@@ -166,12 +166,18 @@ def test_every_command_runs_or_fails_with_one_error_line(workdir, case):
      "distance matrix must be square, got shape (2, 3)"),
     (lambda inst: RandomSpec(n=5, geometry="torus"), "unknown geometry 'torus'; pick one of"),
     (lambda inst: minimum_spanning_tree(inst, []), "subset must be non-empty"),
+    (lambda inst: held_karp_tsp(inst, [0.5, 1.7, 2.2]), "subset entry 0.5 is not a point index"),
+    (lambda inst: minmax_tree_cover(inst, [0, 1, 2.0], 2),
+     "subset entry 2.0 is not a point index"),
+    (lambda inst: minimum_spanning_tree(inst, (x for x in [0, 1.5])),
+     "subset entry 1.5 is not a point index"),
     (lambda inst: brute_force_weighted_opt(inst, math.inf, BRUTE_FORCE_MAX_PERIOD + 1),
      f"brute force is limited to period {BRUTE_FORCE_MAX_PERIOD}, "
      f"got {BRUTE_FORCE_MAX_PERIOD + 1}"),
     (lambda inst: build_lists([]), "cannot build tour lists from zero tours"),
 ], ids=["profile-at-minus-1", "profile-at-n", "success-at-minus-1", "success-at-n",
         "non-square-metric", "unknown-geometry", "empty-mst-subset",
+        "float-tsp-subset", "float-cover-subset", "float-mst-subset-iterator",
         "brute-force-period", "no-tours"])
 def test_library_names_an_argument_out_of_its_domain(unit_triangle, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

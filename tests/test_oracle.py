@@ -458,8 +458,9 @@ def pruned_bound_instances(draw):
     weight over a far lighter tail, so the last level the bound keeps is
     usually the one that sets it; ``slack`` stretches every distance of an
     integer L1 grid, full of exact triangle equalities, by up to 0.999 of
-    ``TRIANGLE_TOL``, so shortcuts use almost all the slack the validator
-    allows; ``arc`` puts 17 to 46 points in ranked order along three
+    ``TRIANGLE_TOL``, so its triangles use almost all the slack the
+    validator allows and none of the bound's tests may assume an exact
+    metric; ``arc`` puts 17 to 46 points in ranked order along three
     quarters of a circle, so each point's nearest earlier-ranked point is
     the one before it, every such leaf edge is an MST edge, the leaf test's
     sum is the MST of the level it tests, and, unlike on a line, an MST
@@ -600,18 +601,23 @@ class TestLowerBoundPruning:
             lower_bound(random_instance(3, n, "equal"))
         assert leaves == []
 
-    def test_levels_the_tour_rules_out_take_no_leaf_distances(self, monkeypatch):
+    def test_leaf_test_alone_rules_out_every_mst_level(self, monkeypatch):
         # two points of weight 1 a unit apart and 30 far lighter ones
-        # around the first: each MST level's weight times a tour through
-        # all points is below the diameter, so no leaf row is gathered
+        # around the first: each MST level's weight times the last exact
+        # tree plus its leaf distances is below the diameter, so one leaf
+        # pass rules out every MST level and no tree is built
         rng = np.random.default_rng(2)
         coords = np.concatenate([[[0.0, 0.0], [1.0, 0.0]], 0.01 * rng.uniform(size=(30, 2))])
         dist = np.hypot(*(coords[:, None, :] - coords[None, :, :]).transpose(2, 0, 1))
         weights = np.concatenate([[1.0, 1.0], rng.uniform(0.005, 0.01, size=30)])
         inst = make_instance([f"p{i}" for i in range(32)], weights, dist)
+        expected = reference_incremental_lower_bound(inst)
         leaves = _record_calls(monkeypatch, "_leaf_distances")
-        assert lower_bound(inst) == reference_incremental_lower_bound(inst)
-        assert leaves == []
+        grown = _record_calls(monkeypatch, "_grow_spanning_tree")
+        built = _record_calls(monkeypatch, "_subset_mst")
+        assert lower_bound(inst) == expected
+        assert len(leaves) == 1
+        assert grown == built == []
 
     def test_leaf_bound_keeps_its_rounding_margin(self):
         # point 0 at distance 1 from 17 points spaced u = 2**-53 apart, the
