@@ -47,8 +47,8 @@ from pathlib import Path
 from typing import Any
 
 from .instance import (GEOMETRIES, WEIGHT_LAWS, Instance, MetricReport,
-                       MetricViolationError, RandomSpec, dumps, generate_random,
-                       load_instance, loads, serialize_instance)
+                       MetricViolationError, RandomSpec, _label_points, dumps,
+                       generate_random, load_instance, loads, serialize_instance)
 from .mst import Tree
 from .oracle import (BRUTE_FORCE_MAX_POINTS, BRUTE_FORCE_MAX_PERIOD,
                      HELD_KARP_MAX, OracleResult, brute_force_weighted_opt,
@@ -133,16 +133,16 @@ def _parse_p(text: str) -> float:
         raise ValueError(f"--p must be 'inf' or a number >= 2, got {text!r}") from None
 
 
-def _parse_subset(inst: Instance, text: str | None) -> list[int] | None:
+def _parse_subset(inst: Instance, text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
     labels = [part.strip() for part in text.split(",") if part.strip()]
     if not labels:
         raise ValueError("--subset must list at least one label")
-    return [inst.index(label) for label in labels]
+    return _label_points(inst, labels, "--subset entries")
 
 
-def _subset_doc(inst: Instance, subset: list[int] | None) -> list[str] | None:
+def _subset_doc(inst: Instance, subset: tuple[int, ...] | None) -> list[str] | None:
     return None if subset is None else [inst.labels[x] for x in subset]
 
 

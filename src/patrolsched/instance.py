@@ -4,15 +4,20 @@ An :class:`Instance` is the input to everything else in this package: a list
 of labelled points, a strictly positive weight per point (normalized so the
 largest weight is exactly 1), and a symmetric distance matrix satisfying the
 triangle inequality up to a small relative tolerance.
+
+This module is also the library's one argument gate: every point index,
+label and count another module takes is read by :func:`_point_indices`,
+:func:`_check_points`, :func:`_label_points` or :func:`_count`.
 """
 from __future__ import annotations
 
 import gc
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -238,10 +243,8 @@ class Instance:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown point label {label!r}") from None
+        """The point named ``label``; ValueError if none is."""
+        return _label_points(self, (label,), "labels")[0]
 
     def to_document(self) -> dict[str, Any]:
         return {
@@ -250,6 +253,55 @@ class Instance:
             "metric": ({"type": "explicit", "dist": self.dist.tolist()} if self.coords is None
                        else {"type": "euclidean", "coords": self.coords.tolist()}),
         }
+
+
+def _point_indices(values: Iterable[Any], what: str) -> tuple[int, ...]:
+    """``values`` as point indices: each an ``int``, ``bool`` or numpy
+    integer.  A float or any other value raises ValueError naming it as
+    ``what``, instead of being truncated to a point."""
+    values = tuple(values)  # read twice on an error, so not a one-shot iterator
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:  # a float, string or None: not a point index
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ValueError(f"{what} {bad!r} is not a point index") from None
+
+
+def _check_points(inst: Instance, points: Sequence[int]) -> np.ndarray:
+    """The integer ``points`` as an index array, in one numpy call;
+    ValueError names the first that is not a point of ``inst``."""
+    try:
+        v = np.array(points, dtype=np.intp)
+        if v.min(initial=0) >= 0 and v.max(initial=0) < inst.n:
+            return v
+    except OverflowError:  # an index past the C integer range
+        pass
+    bad = next(x for x in points if not 0 <= x < inst.n)
+    raise ValueError(f"unknown point index {bad}")
+
+
+def _label_points(inst: Instance, labels: Sequence[Any], what: str) -> tuple[int, ...]:
+    """The point each of ``labels`` names, in one lookup; the first entry
+    that is not a string, or names no point, raises ValueError (a
+    non-string named as one of ``what``)."""
+    try:
+        return tuple(map(inst._index.__getitem__, labels))
+    except (KeyError, TypeError):  # an unknown label, or an unhashable entry
+        bad = next(lab for lab in labels if not isinstance(lab, str) or lab not in inst._index)
+        raise ValueError(f"unknown point label {bad!r}" if isinstance(bad, str) else
+                         f"{what} must be point labels (strings), got {bad!r}") from None
+
+
+def _count(value: Any, what: str, least: int) -> int:
+    """``value`` as an integer (``operator.index``) of at least ``least``;
+    ValueError names ``what`` otherwise, so 2.5 is never read as 2 or 3."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{what} must be at least {least}, got {count}")
+    return count
 
 
 def _float_array(value: Any, name: str) -> np.ndarray:
@@ -471,15 +523,17 @@ def _shortest_path_closure(cost: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Shape of a random instance: size, weight distribution, geometry."""
+    """Shape of a random instance: size, weight distribution, geometry.
+
+    An ``n`` that is not an integer of at least 3 raises ValueError.
+    """
 
     n: int
     weight_law: str = "uniform"
     geometry: str = "euclidean-plane"
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"generated instances need n >= 3, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, "n", 3))
         if self.weight_law not in WEIGHT_LAWS:
             raise ValueError(f"unknown weight law {self.weight_law!r}; pick one of {WEIGHT_LAWS}")
         if self.geometry not in GEOMETRIES:

@@ -6,8 +6,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .instance import Instance
-from .schedule import Schedule, _point_indices
+from .instance import Instance, _check_points, _point_indices
+from .schedule import Schedule
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,13 @@ def _spanning_forest(dist: np.ndarray, vertices: Sequence[int],
 
 def _normalize_subset(inst: Instance, subset: Sequence[int] | None) -> tuple[int, ...]:
     """``subset`` as ascending distinct point indices, every point for None;
-    an entry that is not an integer raises ValueError naming it."""
+    an entry that is not a point index of ``inst`` raises ValueError naming it."""
     if subset is None:
         return tuple(range(inst.n))
     out = sorted(set(_point_indices(subset, "subset entry")))
     if not out:
         raise ValueError("subset must be non-empty")
-    if out[0] < 0 or out[-1] >= inst.n:
-        raise ValueError(f"subset contains unknown point index (n={inst.n})")
-    return tuple(out)
+    return tuple(_check_points(inst, out).tolist())
 
 
 def _subset_mst(inst: Instance, verts: Sequence[int],
@@ -185,8 +183,9 @@ def euler_shortcut(tree: Tree, start: int) -> Schedule:
 
     Children are explored in ascending index order.  By the triangle
     inequality the resulting cyclic tour is no longer than twice the tree
-    cost.
+    cost.  A ``start`` that is not a vertex of the tree raises ValueError.
     """
+    (start,) = _point_indices((start,), "start vertex")
     if start not in tree.vertices:
         raise ValueError(f"start vertex {start} is not in the tree")
     adj = _adjacency(tree)

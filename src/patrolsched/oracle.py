@@ -26,7 +26,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, _count
 from .mst import _fold, _normalize_subset, _spanning_forest, _subset_mst
 from .schedule import Schedule, _cost_of_gaps, _profiles, _validate_p, worst_weighted
 
@@ -306,8 +306,12 @@ def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> Oracl
     normal float; its products, never smaller than it, are then normal as
     well.  A B that is zero, subnormal or inf (the period or a product
     overflowed) rules nothing out.
+
+    A ``max_period`` that is not an integer, or outside n ..
+    ``BRUTE_FORCE_MAX_PERIOD``, raises ValueError.
     """
     p = _validate_p(p)
+    max_period = _count(max_period, "max_period", 1)
     n = inst.n
     if n > BRUTE_FORCE_MAX_POINTS:
         raise ValueError(
@@ -378,10 +382,10 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
     For every partition of the subset into at most k blocks, the cheapest
     way to connect each block is its MST; the oracle minimizes the maximum
     block MST cost.  The witness is the minimizing partition, the first in
-    restricted-growth order.
+    restricted-growth order.  A ``k`` that is not an integer of at least 1
+    raises ValueError, as in :func:`treecover.minmax_tree_cover`.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _count(k, "k", 1)
     verts = _normalize_subset(inst, subset)
     m = len(verts)
     if m > PARTITION_MAX_POINTS:

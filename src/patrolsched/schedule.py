@@ -19,29 +19,16 @@ explicit value :data:`UNBOUNDED` (``math.inf``), never as an error.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, _check_points, _label_points, _point_indices
 
 UNBOUNDED = math.inf
-
-
-def _point_indices(values: Iterable[Any], what: str) -> tuple[int, ...]:
-    """``values`` as point indices: each an ``int``, ``bool`` or numpy
-    integer.  A float or any other value raises ValueError naming it as
-    ``what``, instead of being truncated to a point."""
-    values = tuple(values)  # read twice on an error, so not a one-shot iterator
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:  # a float, string or None: not a point index
-        bad = next(v for v in values if not hasattr(v, "__index__"))
-        raise ValueError(f"{what} {bad!r} is not a point index") from None
 
 
 def _collapse(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -74,21 +61,9 @@ class Schedule:
         return len(self.visits)
 
 
-def _check_points(visits: Sequence[int], n: int) -> np.ndarray:
-    """The visits as an index array; ValueError names the first unknown index."""
-    try:
-        v = np.array(visits, dtype=np.intp)
-        if v.min() >= 0 and v.max() < n:
-            return v
-    except OverflowError:  # an index past the C integer range
-        pass
-    bad = next(x for x in visits if not 0 <= x < n)
-    raise ValueError(f"schedule refers to unknown point index {bad}")
-
-
 def _hops(s: Schedule, inst: Instance) -> list[float]:
     """The travel time from each visit to the next, the wrap-around hop last."""
-    v = _check_points(s.visits, inst.n)
+    v = _check_points(inst, s.visits)
     return inst.dist[v, np.concatenate((v[1:], v[:1]))].tolist()
 
 
@@ -145,12 +120,11 @@ def _walk(s: Schedule, inst: Instance) -> tuple[list[list[float] | None], float]
 def absence_profile(s: Schedule, x: int, inst: Instance) -> list[float] | None:
     """Cyclic absence lengths of point ``x``, or None if ``x`` is unvisited.
 
-    The profile always sums to the period length.
+    The profile always sums to the period length.  An ``x`` that is not a
+    point index of ``inst`` raises ValueError.
     """
-    profiles, _ = _walk(s, inst)
-    if not 0 <= x < inst.n:
-        raise ValueError(f"unknown point index {x}")
-    return profiles[x]
+    x = _check_points(inst, _point_indices((x,), "point"))[0]
+    return _walk(s, inst)[0][x]
 
 
 def _validate_p(p: float) -> float:
@@ -194,7 +168,8 @@ def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
 def point_cost(s: Schedule, x: int, inst: Instance, p: float) -> float:
     """Absence cost of point ``x``: max gap for p=inf, sum(l^p)/sum(l^(p-1)) else.
 
-    Returns :data:`UNBOUNDED` when ``x`` is not visited.
+    Returns :data:`UNBOUNDED` when ``x`` is not visited.  An ``x`` that is
+    not a point index of ``inst`` raises ValueError.
     """
     p = _validate_p(p)
     return _cost_of_gaps(absence_profile(s, x, inst), p)
@@ -209,7 +184,12 @@ def point_costs(s: Schedule, inst: Instance, ps: Sequence[float]) -> list[list[f
 
 
 def worst_weighted(costs: Sequence[float], inst: Instance) -> float:
-    """max over points x of weight(x) * costs[x]; 0.0 for no positive term."""
+    """max over points x of weight(x) * costs[x]; 0.0 for no positive term.
+
+    ``costs`` holds one cost per point; any other length raises ValueError.
+    """
+    if len(costs) != inst.n:
+        raise ValueError(f"expected {inst.n} point costs, got {len(costs)}")
     best = 0.0
     for w, c in zip(inst.weights.tolist(), costs):
         wc = w * c
@@ -237,16 +217,8 @@ def schedule_from_document(doc: Any, inst: Instance) -> Schedule:
     visits = doc["visits"]
     if not isinstance(visits, list) or not visits:
         raise ValueError("'visits' must be a non-empty array of point labels")
-    index = inst._index
-    try:
-        return Schedule(tuple(map(index.__getitem__, visits)))
-    except (KeyError, TypeError):  # an unknown label, or an unhashable visit
-        bad = next(lab for lab in visits if not isinstance(lab, str) or lab not in index)
-    if not isinstance(bad, str):
-        raise ValueError(f"schedule visits must be point labels (strings), got {bad!r}")
-    raise ValueError(f"unknown point label {bad!r}")
+    return Schedule(_label_points(inst, visits, "schedule visits"))
 
 
 def schedule_to_document(s: Schedule, inst: Instance) -> dict[str, Any]:
-    _check_points(s.visits, inst.n)
-    return {"visits": [inst.labels[v] for v in s.visits]}
+    return {"visits": [inst.labels[v] for v in _check_points(inst, s.visits).tolist()]}

@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, _check_points, _point_indices
 from .schedule import (Schedule, UNBOUNDED, _cost_of_gaps, _walk, absence_profile,
                        schedule_from_document, schedule_to_document)
 
@@ -83,13 +83,13 @@ def success_probability(s: Schedule, inst: Instance, x: int, t: float) -> float:
     """Probability that an attack of duration ``t`` on ``x`` succeeds.
 
     Equals sum(max(l - t, 0)) / period over x's absence lengths l.  An
-    unvisited target is never interrupted: probability 1 for every t.
+    unvisited target is never interrupted: probability 1 for every t.  An
+    ``x`` that is not a point index of ``inst`` raises ValueError.
     """
     if not t >= 0.0:
         raise ValueError(f"attack duration must be nonnegative, got {t!r}")
+    x = _check_points(inst, _point_indices((x,), "point"))[0]
     profiles, period = _walk(s, inst)
-    if not 0 <= x < inst.n:
-        raise ValueError(f"unknown point index {x}")
     if profiles[x] is None:
         return 1.0
     if period == 0.0:
@@ -99,7 +99,8 @@ def success_probability(s: Schedule, inst: Instance, x: int, t: float) -> float:
 
 def expected_return_time(s: Schedule, inst: Instance, x: int) -> float:
     """Expected wait until the defender next reaches ``x`` from a uniformly
-    random moment; equals half the quadratic absence cost."""
+    random moment; equals half the quadratic absence cost.  An ``x`` that is
+    not a point index of ``inst`` raises ValueError."""
     return _cost_of_gaps(absence_profile(s, x, inst), 2.0) / 2.0
 
 

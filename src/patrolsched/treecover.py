@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, _check_points, _count, _point_indices
 from .mst import Tree, _adjacency, _find, _normalize_subset, _subset_mst, _tree_from_edges
 
 
@@ -62,10 +62,12 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
     parent, and whenever the accumulated bundle at a vertex reaches 2B it is
     emitted as one connected piece.  A bundle never exceeds 4B because each
     increment is itself below 3B (leftover < 2B plus one edge <= B) and is
-    emitted on its own when it reaches 2B.
+    emitted on its own when it reaches 2B.  A non-positive budget, or an
+    edge end that is not a point index of ``inst``, raises ValueError.
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
+    _check_points(inst, _point_indices((x for edge in tree.edges for x in edge), "tree edge end"))
     dist = inst.dist
     for u, v in tree.edges:
         if dist[u, v] > budget:
@@ -181,10 +183,10 @@ def try_budget(inst: Instance, subset: Sequence[int] | None, k: int, budget: flo
     MST of cost c supports floor(c / (2*budget)) + 1 pieces; the budget fails
     when those counts sum past ``k``.  Feasibility is not monotone in the
     budget (see the module docstring), but every budget at or above the
-    optimal min-max tree cost is feasible.
+    optimal min-max tree cost is feasible.  A ``k`` that is not an integer
+    of at least 1, or a non-positive budget, raises ValueError.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _count(k, "k", 1)
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
     verts = _normalize_subset(inst, subset)
@@ -236,9 +238,9 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int) -> T
     ``_threshold(c, m)``, and only m <= k - #components + 1 can matter.  A
     second binary search returns the smallest feasible threshold inside
     (lo, hi), or hi.  Probes only count pieces; the trees are built once.
+    A ``k`` that is not an integer of at least 1 raises ValueError.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _count(k, "k", 1)
     verts = _normalize_subset(inst, subset)
     mst = _subset_mst(inst, verts)
     mst_cost = mst[3]

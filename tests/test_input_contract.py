@@ -26,9 +26,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patrolsched import (RandomSpec, Schedule, absence_profile, brute_force_weighted_opt,
+from patrolsched import (RandomSpec, Schedule, Tree, absence_profile, brute_force_weighted_opt,
+                         decompose_tree, expected_return_time, generate_random,
                          held_karp_tsp, instance_from_document, minimum_spanning_tree,
-                         minmax_tree_cover, success_probability, validate_metric)
+                         minmax_tree_cover, partition_tree_cover_oracle, point_cost,
+                         success_probability, try_budget, validate_metric, worst_weighted)
 from patrolsched.cli import main
 from patrolsched.oracle import BRUTE_FORCE_MAX_PERIOD
 from patrolsched.planner import build_lists
@@ -175,10 +177,46 @@ def test_every_command_runs_or_fails_with_one_error_line(workdir, case):
      f"brute force is limited to period {BRUTE_FORCE_MAX_PERIOD}, "
      f"got {BRUTE_FORCE_MAX_PERIOD + 1}"),
     (lambda inst: build_lists([]), "cannot build tour lists from zero tours"),
+    # a float point or count is refused, never truncated or rounded to an integer
+    (lambda inst: absence_profile(Schedule((0, 1, 2)), 1.5, inst),
+     "point 1.5 is not a point index"),
+    (lambda inst: point_cost(Schedule((0, 1, 2)), 1.0, inst, 2.0),
+     "point 1.0 is not a point index"),
+    (lambda inst: success_probability(Schedule((0, 1, 2)), inst, 0.5, 1.0),
+     "point 0.5 is not a point index"),
+    (lambda inst: expected_return_time(Schedule((0, 1, 2)), inst, 2.0),
+     "point 2.0 is not a point index"),
+    (lambda inst: minmax_tree_cover(inst, None, 2.5), "k must be an integer, got 2.5"),
+    (lambda inst: try_budget(inst, None, 1.5, 1.0), "k must be an integer, got 1.5"),
+    (lambda inst: partition_tree_cover_oracle(inst, None, 2.5), "k must be an integer, got 2.5"),
+    (lambda inst: brute_force_weighted_opt(inst, math.inf, 6.0),
+     "max_period must be an integer, got 6.0"),
+    (lambda inst: RandomSpec(n=5.0), "n must be an integer, got 5.0"),
+    # zip would stop at the shorter list and drop the points past it
+    (lambda inst: worst_weighted([1.0], inst), "expected 3 point costs, got 1"),
+    (lambda inst: decompose_tree(inst, Tree((0, 9), ((0, 9),), 1.0), 1.0),
+     "unknown point index 9"),
+    (lambda inst: decompose_tree(inst, Tree((0, 1.5), ((0, 1.5),), 1.0), 1.0),
+     "tree edge end 1.5 is not a point index"),
 ], ids=["profile-at-minus-1", "profile-at-n", "success-at-minus-1", "success-at-n",
         "non-square-metric", "unknown-geometry", "empty-mst-subset",
         "float-tsp-subset", "float-cover-subset", "float-mst-subset-iterator",
-        "brute-force-period", "no-tours"])
+        "brute-force-period", "no-tours", "float-profile-point", "float-cost-point",
+        "float-success-point", "float-return-time-point", "float-cover-k",
+        "float-try-budget-k", "float-oracle-k", "float-max-period", "float-random-n",
+        "short-costs", "foreign-tree-point", "float-tree-point"])
 def test_library_names_an_argument_out_of_its_domain(unit_triangle, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(unit_triangle)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+def test_cover_and_its_oracle_reject_the_same_non_integer_k(k):
+    """Acceptance 4 compares the two at one k: neither may read 2.5 as 2
+    or as 3, so both refuse it with the same line."""
+    inst = generate_random(RandomSpec(n=8), 1)
+    with pytest.raises(ValueError) as cover:
+        minmax_tree_cover(inst, None, k)
+    with pytest.raises(ValueError) as oracle:
+        partition_tree_cover_oracle(inst, None, k)
+    assert str(cover.value) == str(oracle.value) == f"k must be an integer, got {k!r}"
