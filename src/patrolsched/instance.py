@@ -257,14 +257,18 @@ class Instance:
 
 def _point_indices(values: Iterable[Any], what: str) -> tuple[int, ...]:
     """``values`` as point indices: each an ``int``, ``bool`` or numpy
-    integer.  A float or any other value raises ValueError naming it as
-    ``what``, instead of being truncated to a point."""
+    integer.  A float or any other value raises ValueError naming the first
+    such entry as ``what``, instead of being truncated to a point."""
     values = tuple(values)  # read twice on an error, so not a one-shot iterator
     try:
         return tuple(map(operator.index, values))
-    except TypeError:  # a float, string or None: not a point index
-        bad = next(v for v in values if not hasattr(v, "__index__"))
-        raise ValueError(f"{what} {bad!r} is not a point index") from None
+    except TypeError:  # a float, string, None or array: not a point index
+        for bad in values:  # an array has __index__, yet operator.index refuses it
+            try:
+                operator.index(bad)
+            except TypeError:
+                raise ValueError(f"{what} {bad!r} is not a point index") from None
+        raise
 
 
 def _check_points(inst: Instance, points: Sequence[int]) -> np.ndarray:

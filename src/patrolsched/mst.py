@@ -168,14 +168,45 @@ def minimum_spanning_tree(inst: Instance, subset: Sequence[int] | None = None) -
 
 
 def _adjacency(tree: Tree) -> dict[int, list[int]]:
-    """Every tree vertex's neighbours in ascending order."""
+    """Every tree vertex's neighbours in ascending order; an edge end that
+    is not a vertex raises ValueError."""
     adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-    return adj
+    try:
+        for u, v in tree.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+    except KeyError as err:
+        raise ValueError(f"tree edge end {err.args[0]!r} is not a tree vertex") from None
+    return {v: sorted(near) for v, near in adj.items()}
+
+
+def _preorder(tree: Tree, root: int, descending: bool = False,
+              ) -> tuple[list[int], dict[int, int]]:
+    """The DFS preorder of ``tree`` from ``root``, children in ascending
+    index order (descending if asked), and every vertex's parent (-1 for
+    the root).
+
+    This is the one walk of a ``Tree``, and it checks that ``tree`` is one:
+    a ``root`` or edge end that is not a vertex, an edge count other than
+    one less than the vertex count (so no vertex at all), or a vertex the
+    edges do not reach raises ValueError.  With that count, reaching every
+    vertex rules out a cycle, a repeated edge and a repeated vertex.
+    """
+    adj, n = _adjacency(tree), len(tree.vertices)
+    if len(tree.edges) != n - 1:
+        raise ValueError(f"tree edge count {len(tree.edges)} is not its vertex count {n} minus 1")
+    if root not in adj:
+        raise ValueError(f"start vertex {root} is not in the tree")
+    parent, order, stack = {root: -1}, [], [root]
+    while stack:
+        order.append(v := stack.pop())
+        for c in adj[v] if descending else reversed(adj[v]):
+            if c not in parent:
+                parent[c] = v
+                stack.append(c)
+    if len(order) != n:
+        raise ValueError(f"tree edges reach {len(order)} of its {n} vertices from {root}")
+    return order, parent
 
 
 def euler_shortcut(tree: Tree, start: int) -> Schedule:
@@ -183,20 +214,8 @@ def euler_shortcut(tree: Tree, start: int) -> Schedule:
 
     Children are explored in ascending index order.  By the triangle
     inequality the resulting cyclic tour is no longer than twice the tree
-    cost.  A ``start`` that is not a vertex of the tree raises ValueError.
+    cost.  A ``start`` that is not a vertex of the tree, or a ``tree`` that
+    is not a tree (see :func:`_preorder`), raises ValueError.
     """
     (start,) = _point_indices((start,), "start vertex")
-    if start not in tree.vertices:
-        raise ValueError(f"start vertex {start} is not in the tree")
-    adj = _adjacency(tree)
-    order: list[int] = []
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for c in reversed(adj[v]):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return Schedule(tuple(order))
+    return Schedule(tuple(_preorder(tree, start)[0]))

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instance import Instance, _check_points, _count, _point_indices
-from .mst import Tree, _adjacency, _find, _normalize_subset, _subset_mst, _tree_from_edges
+from .mst import Tree, _find, _normalize_subset, _preorder, _subset_mst, _tree_from_edges
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,18 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
     parent, and whenever the accumulated bundle at a vertex reaches 2B it is
     emitted as one connected piece.  A bundle never exceeds 4B because each
     increment is itself below 3B (leftover < 2B plus one edge <= B) and is
-    emitted on its own when it reaches 2B.  A non-positive budget, or an
-    edge end that is not a point index of ``inst``, raises ValueError.
+    emitted on its own when it reaches 2B.  A non-positive budget, an
+    edge end that is not a point index of ``inst``, or a ``tree`` that is
+    not a tree (see :func:`mst._preorder`) raises ValueError, whatever its
+    stated cost.
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
     _check_points(inst, _point_indices((x for edge in tree.edges for x in edge), "tree edge end"))
+    # Preorder taking children in descending order; reversed, it is the
+    # postorder taking them in ascending order, every child before its parent.
+    root = min(tree.vertices, default=None)  # None: no vertex, which _preorder refuses
+    order, parent = _preorder(tree, root, descending=True)
     dist = inst.dist
     for u, v in tree.edges:
         if dist[u, v] > budget:
@@ -76,21 +82,6 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
     target = 2.0 * budget
     if tree.cost < target:
         return [tree]
-
-    adj = _adjacency(tree)
-    root = min(tree.vertices)
-    # Preorder taking children in descending order; reversed, it is the
-    # postorder taking them in ascending order, every child before its parent.
-    parent = {root: -1}
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for c in adj[v]:
-            if c != parent[v]:
-                parent[c] = v
-                stack.append(c)
 
     # Each vertex's bundle holds the leftover edges (cost < 2B) of its
     # finished children.  A vertex adds its parent edge to its bundle, then

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patrolsched import (RandomSpec, Schedule, Tree, absence_profile, brute_force_weighted_opt,
-                         decompose_tree, expected_return_time, generate_random,
+                         decompose_tree, euler_shortcut, expected_return_time, generate_random,
                          held_karp_tsp, instance_from_document, minimum_spanning_tree,
                          minmax_tree_cover, partition_tree_cover_oracle, point_cost,
                          success_probability, try_budget, validate_metric, worst_weighted)
@@ -156,6 +156,10 @@ def test_every_command_runs_or_fails_with_one_error_line(workdir, case):
         assert all(line.startswith("error: ") for line in lines), (argv, lines)
 
 
+# The unit triangle's three edges: a cycle, so not a tree.
+TRIANGLE_CYCLE = Tree((0, 1, 2), ((0, 1), (1, 2), (0, 2)), 3.0)
+
+
 # Without its check, point -1 would silently read the last point's profile.
 @pytest.mark.parametrize("call, message", [
     (lambda inst: absence_profile(Schedule((0, 1, 2)), -1, inst), "unknown point index -1"),
@@ -198,13 +202,53 @@ def test_every_command_runs_or_fails_with_one_error_line(workdir, case):
      "unknown point index 9"),
     (lambda inst: decompose_tree(inst, Tree((0, 1.5), ((0, 1.5),), 1.0), 1.0),
      "tree edge end 1.5 is not a point index"),
+    # a numpy array has __index__, yet operator.index refuses it
+    (lambda inst: Schedule(np.array([[0, 1], [1, 2]])),
+     "schedule visit array([0, 1]) is not a point index"),
+    (lambda inst: held_karp_tsp(inst, [np.array([0, 1])]),
+     "subset entry array([0, 1]) is not a point index"),
+    (lambda inst: euler_shortcut(Tree((0, 1), ((0, 1),), 1.0), np.array([0, 1])),
+     "start vertex array([0, 1]) is not a point index"),
+    (lambda inst: absence_profile(Schedule((0, 1, 2)), np.array([0, 1]), inst),
+     "point array([0, 1]) is not a point index"),
+    # a Tree that is not a tree: a cycle once hung decompose_tree, a missing
+    # edge dropped a point from the tour, a foreign edge end raised KeyError
+    (lambda inst: euler_shortcut(TRIANGLE_CYCLE, 0),
+     "tree edge count 3 is not its vertex count 3 minus 1"),
+    (lambda inst: euler_shortcut(Tree((0, 1, 2), ((0, 1),), 1.0), 0),
+     "tree edge count 1 is not its vertex count 3 minus 1"),
+    (lambda inst: euler_shortcut(Tree((0, 1), ((0, 1), (0, 1)), 2.0), 0),
+     "tree edge count 2 is not its vertex count 2 minus 1"),
+    (lambda inst: euler_shortcut(Tree((0,), ((0, 1),), 1.0), 0),
+     "tree edge end 1 is not a tree vertex"),
+    (lambda inst: euler_shortcut(Tree((0, 1, 2), ((0, 1), (0, 1)), 2.0), 0),
+     "tree edges reach 2 of its 3 vertices from 0"),
+    (lambda inst: euler_shortcut(Tree((0, 1), ((0, 1),), 1.0), 2),
+     "start vertex 2 is not in the tree"),
+    (lambda inst: decompose_tree(inst, TRIANGLE_CYCLE, 1.0),
+     "tree edge count 3 is not its vertex count 3 minus 1"),
+    # its stated cost is below 2 * budget: the check comes before that early return
+    (lambda inst: decompose_tree(inst, Tree((0, 1, 2), ((0, 1),), 1.0), 1.0),
+     "tree edge count 1 is not its vertex count 3 minus 1"),
+    (lambda inst: decompose_tree(inst, Tree((0, 1), ((0, 1), (0, 1)), 2.0), 1.0),
+     "tree edge count 2 is not its vertex count 2 minus 1"),
+    (lambda inst: decompose_tree(inst, Tree((0,), ((0, 1),), 5.0), 1.0),
+     "tree edge end 1 is not a tree vertex"),
+    (lambda inst: decompose_tree(inst, Tree((0, 1, 2), ((0, 1), (0, 1)), 2.0), 1.0),
+     "tree edges reach 2 of its 3 vertices from 0"),
+    (lambda inst: decompose_tree(inst, Tree((), (), 0.0), 1.0),
+     "tree edge count 0 is not its vertex count 0 minus 1"),
 ], ids=["profile-at-minus-1", "profile-at-n", "success-at-minus-1", "success-at-n",
         "non-square-metric", "unknown-geometry", "empty-mst-subset",
         "float-tsp-subset", "float-cover-subset", "float-mst-subset-iterator",
         "brute-force-period", "no-tours", "float-profile-point", "float-cost-point",
         "float-success-point", "float-return-time-point", "float-cover-k",
         "float-try-budget-k", "float-oracle-k", "float-max-period", "float-random-n",
-        "short-costs", "foreign-tree-point", "float-tree-point"])
+        "short-costs", "foreign-tree-point", "float-tree-point", "array-schedule-visit",
+        "array-tsp-subset", "array-start-vertex", "array-profile-point", "euler-cycle",
+        "euler-missing-edge", "euler-repeated-edge", "euler-foreign-edge-end",
+        "euler-split-tree", "euler-foreign-start", "decompose-cycle", "decompose-missing-edge", "decompose-repeated-edge",
+        "decompose-foreign-edge-end", "decompose-split-tree", "decompose-no-vertex"])
 def test_library_names_an_argument_out_of_its_domain(unit_triangle, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(unit_triangle)

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsched import (decompose_tree, make_instance, minimum_spanning_tree,
-                         minmax_tree_cover, partition_tree_cover_oracle,
-                         try_budget)
+from patrolsched import (Tree, decompose_tree, euler_shortcut, make_instance,
+                         minimum_spanning_tree, minmax_tree_cover,
+                         partition_tree_cover_oracle, try_budget)
 from patrolsched.treecover import _threshold
-from conftest import (random_instance, random_metric_instance, reference_decompose_tree,
-                      reference_minmax_tree_cover, reference_try_budget)
+from conftest import (left_fold, random_instance, random_metric_instance,
+                      reference_decompose_tree, reference_minmax_tree_cover,
+                      reference_try_budget)
 
 
 def assert_connected(tree):
@@ -281,3 +282,56 @@ def test_cover_within_four_times_exact_optimum(seed, m, k):
     covered = sorted({v for t in cover.trees for v in t.vertices})
     assert covered == subset
     assert len(cover.trees) <= k
+
+
+@st.composite
+def edge_lists(draw):
+    """Distinct vertices among 8 points, in random order, and edges among
+    them: a random tree on them, with edges dropped and others (repeats,
+    cycles and loops) added, so some lists are trees and most are not."""
+    verts = [v for v in draw(st.permutations(range(8))) if draw(st.booleans())]
+    edges = [(verts[draw(st.integers(0, i - 1))], verts[i]) for i in range(1, len(verts))]
+    if draw(st.booleans()):
+        edges = [edge for edge in edges if draw(st.booleans())]
+    if verts:
+        edges += draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)),
+                               max_size=3))
+    return verts, [(min(u, v), max(u, v)) for u, v in draw(st.permutations(edges))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 99), case=edge_lists(), stretch=st.floats(1.0, 2.0))
+def test_tree_walk_refuses_exactly_the_non_trees(seed, case, stretch):
+    """euler_shortcut and decompose_tree refuse every vertex and edge list
+    that is not a tree, whatever its stated cost; on a tree the tour visits
+    each vertex once from ``start`` and the pieces are the reference's."""
+    verts, edges = case
+    inst = random_instance(seed, 8)
+    # no edge is longer; loops alone (length 0) get budget 1
+    budget = stretch * max((float(inst.dist[u, v]) for u, v in edges), default=0.0) or 1.0
+    tree = Tree(tuple(sorted(verts)), tuple(edges),
+                left_fold(float(inst.dist[u, v]) for u, v in edges))
+    root = {v: v for v in verts}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    joins = 0
+    for u, v in edges:
+        a, b = find(u), find(v)
+        if a != b:
+            root[a] = b
+            joins += 1
+    start = verts[0] if verts else 0
+    if not (verts and len(edges) == joins == len(verts) - 1):
+        with pytest.raises(ValueError):
+            euler_shortcut(tree, start)
+        with pytest.raises(ValueError):
+            decompose_tree(inst, tree, budget)
+        return
+    tour = euler_shortcut(tree, start).visits
+    assert tour[0] == start and sorted(tour) == sorted(verts)
+    assert (tree_bits(decompose_tree(inst, tree, budget))
+            == tree_bits(reference_decompose_tree(inst, tree, budget)))
