@@ -7,7 +7,9 @@ triangle inequality up to a small relative tolerance.
 
 This module is also the library's one argument gate: every point index,
 label and count another module takes is read by :func:`_point_indices`,
-:func:`_check_points`, :func:`_label_points` or :func:`_count`.
+:func:`_check_points`, :func:`_label_points` or :func:`_count`; and its one
+overflow gate: every sum of distances that must stay finite (a period, a
+tour, an MST, an objective, the bound) is checked by :func:`_finite`.
 """
 from __future__ import annotations
 
@@ -306,6 +308,14 @@ def _count(value: Any, what: str, least: int) -> int:
     if count < least:
         raise ValueError(f"{what} must be at least {least}, got {count}")
     return count
+
+
+def _finite(value: float, what: str) -> None:
+    """ValueError naming ``what`` if ``value``, a sum of distances, is not
+    finite: a result past the float range fails, never comes out as inf."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows to {value!r}: "
+                         "the distances are too large to sum in floating point")
 
 
 def _float_array(value: Any, name: str) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .instance import Instance, _count
+from .instance import Instance, _count, _finite
 from .mst import _fold, _normalize_subset, _spanning_forest, _subset_mst
 from .schedule import Schedule, _cost_of_gaps, _profiles, _validate_p, worst_weighted
 
@@ -177,9 +177,7 @@ def held_karp_tsp(inst: Instance, subset: Sequence[int] | None = None) -> Oracle
     if m == 1:
         return OracleResult(0.0, Schedule((verts[0],)), bound)
     _, value, order = _shortest_tour(inst.dist[np.ix_(verts, verts)])
-    if order is None:
-        raise ValueError(f"TSP cost is not finite ({value!r}): the distances "
-                         "are too large to sum in floating point")
+    _finite(value, "TSP cost")
     return OracleResult(value, Schedule(tuple(verts[i] for i in order)), bound)
 
 
@@ -351,9 +349,7 @@ def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> Oracl
             seq = tuple(seqs[i].tolist())
             best = min(best, (score(seq), length, seq))
     value, _, seq = best
-    if math.isinf(value):  # every candidate scored inf
-        raise ValueError("every patrol's weighted objective overflows to inf: the "
-                         "distances are too large to sum in floating point")
+    _finite(value, "every patrol's weighted objective")  # inf: every candidate scored inf
     return OracleResult(value, Schedule(seq), bound)
 
 
@@ -396,7 +392,7 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
             f"partition oracle is limited to {PARTITION_MAX_PARTS} parts, got {k}")
 
     best = math.inf
-    best_partition: tuple[tuple[int, ...], ...] | None = None
+    best_partition: tuple[tuple[int, ...], ...] = ()
     for partition in _partitions_upto(verts, k):
         worst = 0.0
         for block in partition:
@@ -408,9 +404,7 @@ def partition_tree_cover_oracle(inst: Instance, subset: Sequence[int] | None,
         if worst < best:
             best = worst
             best_partition = partition
-    if best_partition is None:  # every candidate scored inf
-        raise ValueError("every partition's tree cost overflows to inf: the "
-                         "distances are too large to sum in floating point")
+    _finite(best, "every partition's tree cost")  # inf: every candidate scored inf
     return OracleResult(float(best), best_partition,
                         {"method": "set-partitions", "points": m, "parts": k})
 

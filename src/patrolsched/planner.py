@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .instance import Instance
+from .instance import Instance, _finite
 from .mst import euler_shortcut
 from .oracle import lower_bound
 from .schedule import Schedule, point_costs, worst_weighted
@@ -152,9 +152,7 @@ def plan(inst: Instance) -> PlanResult:
     lb = lower_bound(inst)
     for name, value in (("objective_inf", obj_inf), ("objective_2", obj_2),
                         ("lower_bound", lb)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} is not finite ({value!r}): the distances "
-                             "are too large to sum in floating point")
+        _finite(value, name)
     ratio = obj_inf / lb if lb > 0.0 else 0.0  # lb is 0 only for one point, planned at 0
     limit = 18.0 * (I + 1)
 

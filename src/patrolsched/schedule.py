@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .instance import Instance, _check_points, _label_points, _point_indices
+from .instance import Instance, _check_points, _finite, _label_points, _point_indices
 
 UNBOUNDED = math.inf
 
@@ -71,12 +71,10 @@ def _visit_times(hops: Sequence[float]) -> list[float]:
     """Every visit's time, then the period: 0.0, then the running sums of ``hops``.
 
     The hops are folded left to right, the wrap-around hop last; every
-    period in the package is this sum.
+    period in the package is this sum, and one that overflows is refused.
     """
     times = [0.0, *accumulate(hops)]
-    if not math.isfinite(times[-1]):
-        raise ValueError(f"schedule period overflows to {times[-1]}: "
-                         f"the travel times are too long to add up in floating point")
+    _finite(times[-1], "schedule period")
     return times
 
 

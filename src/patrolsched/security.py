@@ -22,6 +22,7 @@ highest-probability tours.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -113,12 +114,12 @@ def _best_attacks(gaps: np.ndarray, period: float,
     On each interval between consecutive sorted absence lengths the utility
     is a downward parabola in t, so the maximum is at an interval endpoint or
     the parabola vertex.  A row's distinct candidates come first, in
-    ascending order, and its largest one (the longest gap, utility 0) pads it
-    to the widest row.  Blocks of at most :data:`SCAN_BLOCK` (candidate, gap)
-    pairs take as many whole rows as fit; a row wider than that is scanned
-    alone in ascending slices of ``SCAN_BLOCK // m`` of its distinct
-    candidates.  A row's best changes only where its first maximum in a block
-    beats it, so ties resolve to the smallest duration.  A NaN utility (w * t
+    ascending order, then repeats of them up to the widest row's count.  The
+    scan runs in blocks of at most :data:`SCAN_BLOCK` (candidate, gap) pairs:
+    ascending column slices of ``SCAN_BLOCK // m`` candidates, at most the
+    widest row, each over as many rows as fit.  A row's best changes only
+    where its first maximum in a block beats it, so ties resolve to the
+    smallest duration.  A NaN utility (w * t
     is 0 and the excess overflowed to inf) is passed over on its own, as if
     it were never a candidate.  t = 0 is not scored: its utility is 0, the
     initial best.
@@ -146,21 +147,19 @@ def _best_attacks(gaps: np.ndarray, period: float,
         cands.sort(axis=1)
         repeat = np.zeros(cands.shape, dtype=bool)
         repeat[:, 1:] = cands[:, 1:] == cands[:, :-1]
-        counts = (~repeat).sum(axis=1)
-        width = int(counts.max())
+        width = int((~repeat).sum(axis=1).max())
+        # past its distinct count a row holds repeats of earlier candidates:
+        # a repeat's utility has the same bits as its first, and a best
+        # changes only on a strictly larger utility, so repeats never win
         first = np.argsort(repeat, axis=1, kind="stable")[:, :width]
         cands = np.take_along_axis(cands, first, axis=1)
-        cands = np.where(np.arange(width) < counts[:, None], cands, ls[:, -1:])
 
-        if width * m <= SCAN_BLOCK:
-            rows = SCAN_BLOCK // (width * m)
-            blocks = [(a, a + rows, 0, width) for a in range(0, k, rows)]
-        else:
-            cols = max(1, SCAN_BLOCK // m)
-            blocks = [(r, r + 1, a, min(a + cols, c))
-                      for r, c in enumerate(counts.tolist()) for a in range(0, c, cols)]
-        for r0, r1, c0, c1 in blocks:
-            t = cands[r0:r1, c0:c1]
+        cols = min(width, max(1, SCAN_BLOCK // m))
+        rows = max(1, SCAN_BLOCK // (cols * m))
+        # each row meets its column slices in ascending order
+        for r0, c0 in itertools.product(range(0, k, rows), range(0, width, cols)):
+            r1 = r0 + rows
+            t = cands[r0:r1, c0:c0 + cols]
             wte = weights[r0:r1, None] * t * _excess(ls[r0:r1], t)
             u = wte / period
             at = np.arange(len(t)), np.argmax(np.where(np.isnan(u), -np.inf, u), axis=1)

@@ -26,12 +26,13 @@ feasible one whose next smaller double is not, so every tree costs at most
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .instance import Instance, _check_points, _count, _point_indices
+from .instance import Instance, _check_points, _count, _finite, _point_indices
 from .mst import Tree, _find, _normalize_subset, _preorder, _subset_mst, _tree_from_edges
 
 
@@ -66,6 +67,13 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
     edge end that is not a point index of ``inst``, or a ``tree`` that is
     not a tree (see :func:`mst._preorder`) raises ValueError, whatever its
     stated cost.
+
+    The early return trusts no stated cost: the edges' lengths are folded
+    left to right, and a ``tree.cost`` more than 2 * k * eps * length from
+    that sum (k edges, eps the machine epsilon) raises ValueError.  Two
+    left-to-right sums of the same k non-negative terms, in any orders,
+    differ by less than that, so a tree whose cost was folded in another
+    edge order (Kruskal's) passes.
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
@@ -75,10 +83,14 @@ def decompose_tree(inst: Instance, tree: Tree, budget: float) -> list[Tree]:
     root = min(tree.vertices, default=None)  # None: no vertex, which _preorder refuses
     order, parent = _preorder(tree, root, descending=True)
     dist = inst.dist
+    length = 0.0
     for u, v in tree.edges:
-        if dist[u, v] > budget:
-            raise ValueError(
-                f"tree edge ({u}, {v}) has length {dist[u, v]!r} > budget {budget!r}")
+        w = dist[u, v]
+        if w > budget:
+            raise ValueError(f"tree edge ({u}, {v}) has length {w!r} > budget {budget!r}")
+        length += float(w)
+    if abs(tree.cost - length) > 2 * len(tree.edges) * sys.float_info.epsilon * length:
+        raise ValueError(f"tree cost {tree.cost!r} is not the length of its edges, {length!r}")
     target = 2.0 * budget
     if tree.cost < target:
         return [tree]
@@ -235,12 +247,9 @@ def minmax_tree_cover(inst: Instance, subset: Sequence[int] | None, k: int) -> T
     verts = _normalize_subset(inst, subset)
     mst = _subset_mst(inst, verts)
     mst_cost = mst[3]
-    if len(verts) <= k:
-        return TreeCover(trees=tuple(Tree((v,), (), 0.0) for v in verts),
-                         budget_used=0.0, k=k, mst_cost=mst_cost)
-    if math.isinf(mst_cost):
-        raise ValueError("MST cost is not finite: the distances are too large "
-                         "to sum in floating point")
+    if len(verts) <= k:  # no edge is <= 0: the forest at budget 0 is the singletons
+        return _cover_at(inst, mst, verts, k, 0.0)
+    _finite(mst_cost, "MST cost")
 
     def fits(budget: float) -> bool:
         return _fits(mst, verts, k, budget)

@@ -28,9 +28,10 @@ from hypothesis import strategies as st
 
 from patrolsched import (RandomSpec, Schedule, Tree, absence_profile, brute_force_weighted_opt,
                          decompose_tree, euler_shortcut, expected_return_time, generate_random,
-                         held_karp_tsp, instance_from_document, minimum_spanning_tree,
-                         minmax_tree_cover, partition_tree_cover_oracle, point_cost,
-                         success_probability, try_budget, validate_metric, worst_weighted)
+                         held_karp_tsp, instance_from_document, make_instance,
+                         minimum_spanning_tree, minmax_tree_cover, partition_tree_cover_oracle,
+                         period_length, plan, point_cost, success_probability, try_budget,
+                         validate_metric, worst_weighted)
 from patrolsched.cli import main
 from patrolsched.oracle import BRUTE_FORCE_MAX_PERIOD
 from patrolsched.planner import build_lists
@@ -238,6 +239,9 @@ TRIANGLE_CYCLE = Tree((0, 1, 2), ((0, 1), (1, 2), (0, 2)), 3.0)
      "tree edges reach 2 of its 3 vertices from 0"),
     (lambda inst: decompose_tree(inst, Tree((), (), 0.0), 1.0),
      "tree edge count 0 is not its vertex count 0 minus 1"),
+    # a stated cost below 2 * budget once returned a tree of true cost 2.0 whole
+    (lambda inst: decompose_tree(inst, Tree((0, 1, 2), ((0, 1), (1, 2)), 0.5), 1.0),
+     "tree cost 0.5 is not the length of its edges, 2.0"),
 ], ids=["profile-at-minus-1", "profile-at-n", "success-at-minus-1", "success-at-n",
         "non-square-metric", "unknown-geometry", "empty-mst-subset",
         "float-tsp-subset", "float-cover-subset", "float-mst-subset-iterator",
@@ -248,7 +252,8 @@ TRIANGLE_CYCLE = Tree((0, 1, 2), ((0, 1), (1, 2), (0, 2)), 3.0)
         "array-tsp-subset", "array-start-vertex", "array-profile-point", "euler-cycle",
         "euler-missing-edge", "euler-repeated-edge", "euler-foreign-edge-end",
         "euler-split-tree", "euler-foreign-start", "decompose-cycle", "decompose-missing-edge", "decompose-repeated-edge",
-        "decompose-foreign-edge-end", "decompose-split-tree", "decompose-no-vertex"])
+        "decompose-foreign-edge-end", "decompose-split-tree", "decompose-no-vertex",
+        "decompose-stated-cost"])
 def test_library_names_an_argument_out_of_its_domain(unit_triangle, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(unit_triangle)
@@ -264,3 +269,22 @@ def test_cover_and_its_oracle_reject_the_same_non_integer_k(k):
     with pytest.raises(ValueError) as oracle:
         partition_tree_cover_oracle(inst, None, k)
     assert str(cover.value) == str(oracle.value) == f"k must be an integer, got {k!r}"
+
+
+@pytest.mark.parametrize("call", [
+    held_karp_tsp,
+    lambda inst: minmax_tree_cover(inst, None, 1),
+    plan,
+    lambda inst: period_length(Schedule((0, 1, 2)), inst),
+    lambda inst: brute_force_weighted_opt(inst, math.inf, 3),
+    lambda inst: partition_tree_cover_oracle(inst, None, 1),
+], ids=["tsp", "cover", "plan", "period", "brute-force", "partition"])
+def test_every_overflow_fails_with_one_message(call):
+    """A sum of distances past the float range is refused by one gate, in
+    one wording, never returned as inf."""
+    d = 1e308
+    inst = make_instance(["a", "b", "c"], [1.0, 0.5, 0.5], [[0, d, d], [d, 0, d], [d, d, 0]])
+    with pytest.raises(ValueError) as err:
+        call(inst)
+    assert str(err.value).endswith(
+        "overflows to inf: the distances are too large to sum in floating point")
