@@ -293,7 +293,10 @@ def brute_force_weighted_opt(inst: Instance, p: float, max_period: int) -> Oracl
       ``w * cost`` are at least about B (weights are at most 1).  So each
       underflow counts as one more such factor.  That is at most 8k + 3
       factors, so with the gaps' two the score is at least ``w P / k *
-      (1 - 2u)^(8k + 5)``.
+      (1 - 2u)^(8k + 5)``.  A finite-p quotient clamped to the largest
+      gap costs that gap (on the rescaled path, 1.0 times the largest gap,
+      exact): at least the mean gap ``S / k``, with none of those steps,
+      so the same bound holds.
     * The bound.  B rounds three times (w * P, / k, times its factor), so
       it is at most ``w P / k * (1 + u)^3 * (1 - 2^-40)``.  With k at most
       ``BRUTE_FORCE_MAX_PERIOD`` = 10 both (1 - 2u)^85 and (1 + u)^-3 are

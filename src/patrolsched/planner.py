@@ -11,9 +11,16 @@ max-absence is within an O(log n) factor of the best possible:
 3. enumerate the tours with the heaviest class first and slice the sequence
    into lists L_0, L_1, ... of geometrically growing length; list L_i is
    cycled through with period lambda_i (1, 2, 4, ... tours per slot);
-4. emit lcm(lambda_i) phases, each phase running one tour from every list,
-   so a tour in L_i repeats every lambda_i phases — heavy points are
-   revisited often, light points proportionally to their weight.
+4. run list i with span p_i, the least power of two >= lambda_i (so
+   p_i = lambda_i for i < I, and the last list cycles its own tours to fill
+   p_I): phase j runs tour (j mod p_i) mod lambda_i of every list, and the
+   schedule is max_i p_i = max(2^(I-1), p_I) <= 2^I phases.  Every span
+   divides the phase count, so each tour of L_i runs at least once in every
+   p_i <= 2^i consecutive phases, cyclically — heavy points are revisited
+   often, light points about in proportion to their weight.  That
+   recurrence is all the 18(I+1) envelope uses; interleaving at
+   lcm(lambda_i) phases would gain nothing on it, while one odd lambda_I
+   would multiply the schedule's length.
 """
 from __future__ import annotations
 
@@ -40,7 +47,8 @@ class WeightClass:
 
 @dataclass(frozen=True)
 class TourList:
-    """A slot in the phase rotation: ``tours[j % lam]`` runs in phase j."""
+    """A slot in the phase rotation: its ``lam`` tours run in turn, one per
+    phase (see :func:`emit_schedule`)."""
 
     index: int
     tours: tuple[Schedule, ...]
@@ -103,8 +111,8 @@ def build_class_tours(inst: Instance, classes: tuple[WeightClass, ...]
 
 
 def build_lists(tours: list[Schedule]) -> tuple[TourList, ...]:
-    """Slice tours 1..J into lists of size 1, 2, 4, ...; list i repeats
-    every lambda_i phases.
+    """Slice tours 1..J into lists of size 1, 2, 4, ...; list i holds
+    lambda_i tours.
 
     With I = ceil(log2(J+1)) - 1: list i < I holds tours 2^i..2^(i+1)-1 with
     lambda_i = 2^i, and the last list holds the remaining tours with
@@ -126,14 +134,21 @@ def build_lists(tours: list[Schedule]) -> tuple[TourList, ...]:
 
 
 def emit_schedule(lists: tuple[TourList, ...]) -> tuple[Schedule, int]:
-    """Concatenate lcm(lambda_i) phases; phase j runs tour j % lambda_i of
-    every list, heaviest list first.  Returns the schedule and its phase
-    count."""
-    phases = math.lcm(*(tl.lam for tl in lists))
+    """Phase j runs tour (j mod p_i) mod lambda_i of every list, heaviest
+    list first, where the span p_i is the least power of two >= lambda_i.
+
+    The schedule has max_i p_i phases, a power of two at most 2^I.  The
+    spans are powers of two, so each divides that count and the schedule
+    wraps around at a span boundary: every tour of list i runs at least
+    once in any p_i <= 2^i consecutive phases, cyclically.  Returns the
+    schedule and its phase count.
+    """
+    spans = [1 << (tl.lam - 1).bit_length() for tl in lists]
+    phases = max(spans)
     visits: list[int] = []
     for j in range(phases):
-        for tl in lists:
-            visits.extend(tl.tours[j % tl.lam].visits)
+        for tl, span in zip(lists, spans):
+            visits.extend(tl.tours[j % span % tl.lam].visits)
     return Schedule(tuple(visits)), phases
 
 

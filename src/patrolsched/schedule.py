@@ -135,6 +135,10 @@ def _validate_p(p: float) -> float:
 def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
     """sum(l^p) / sum(l^(p-1)) over ``gaps``, the max gap for p = inf.
 
+    A finite-p cost is at most the largest gap in exact arithmetic, so the
+    quotient is clamped to it: rounding never puts a cost above the point's
+    cost at p = inf (with one gap l, l^p / l^(p-1) can round to l + 1 ulp).
+
     When sum(l^p) is not a finite normal float and some gap is positive, a
     power or their sum left the float range: the cost is taken on the gaps
     divided by the largest one and multiplied back, so tiny distances never
@@ -160,7 +164,7 @@ def _cost_of_gaps(gaps: list[float] | None, p: float) -> float:
     if not sys.float_info.min <= num < math.inf:  # every gap is 0 (a single visit), or out of range
         top = max(gaps)
         return 0.0 if top == 0.0 else _cost_of_gaps([g / top for g in gaps], p) * top
-    return num / den
+    return min(num / den, max(gaps))
 
 
 def point_cost(s: Schedule, x: int, inst: Instance, p: float) -> float:

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsched import (Schedule, class_index, lower_bound, make_instance,
-                         minimum_spanning_tree, plan, weighted_objective)
+from patrolsched import (RandomSpec, Schedule, class_index, generate_random, lower_bound,
+                         make_instance, minimum_spanning_tree, plan, weighted_objective)
 from patrolsched import mst as mst_module
 from patrolsched import oracle as oracle_module
 from patrolsched import treecover as treecover_module
 from patrolsched.mst import _spanning_forest
-from patrolsched.planner import _check_list_weights, _check_tree_budgets
+from patrolsched.planner import _check_list_weights, _check_tree_budgets, emit_schedule
 from conftest import left_fold, random_instance
 
 
@@ -203,3 +203,46 @@ def test_schedule_visits_exactly_the_instance_points(seed, n):
     inst = random_instance(seed, n, weight_law="pareto")
     res = plan(inst)
     assert set(res.schedule.visits) == set(range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 9999), n=st.integers(3, 60),
+       law=st.sampled_from(["uniform", "pareto"]),
+       geometry=st.sampled_from(["euclidean-plane", "random-closure"]))
+def test_emission_spans_a_power_of_two_phases(seed, n, law, geometry):
+    """The schedule runs max_i p_i phases, p_i the least power of two >=
+    lambda_i, never more than lcm(lambda_i); phase j runs one tour of every
+    list, heaviest first, and each tour of list i recurs within 2^i phases."""
+    res = plan(random_instance(seed, n, law, geometry))
+    lams = [tl.lam for tl in res.lists]
+    assert res.phases == max(1 << (lam - 1).bit_length() for lam in lams)
+    assert res.phases <= math.lcm(*lams)
+    assert res.diagnostics["all_points_visited"]
+    assert res.diagnostics["envelope_ok"]
+    assert emit_schedule(res.lists) == (res.schedule, res.phases)
+    if res.I == 0:  # one tour, run once
+        assert res.phases == 1
+        return
+    # tours of two trees may share a point, so emit one marker point per tour
+    # instead: with two lists or more no marker follows itself, and phase j
+    # is row j of the emitted visits
+    markers, first = [], 0
+    for tl in res.lists:
+        markers.append(dataclasses.replace(
+            tl, tours=tuple(Schedule((first + k,)) for k in range(tl.lam))))
+        first += tl.lam
+    marked, phases = emit_schedule(tuple(markers))
+    grid = np.array(marked.visits).reshape(phases, res.I + 1)
+    for tl, column in zip(markers, grid.T):
+        assert set(column) == {tour.visits[0] for tour in tl.tours}
+        for tour in tl.tours:
+            at = np.flatnonzero(column == tour.visits[0])
+            assert np.diff([*at, at[0] + phases]).max() <= 2 ** tl.index, (tl.index, tour)
+
+
+def test_emission_pins_a_mid_size_plan():
+    # lambda_I = 54 pads to 64 phases; lcm(lambda_i) = 864 phases would give 8,246 visits
+    res = plan(generate_random(RandomSpec(200, "pareto"), 1))
+    assert [tl.lam for tl in res.lists][-2:] == [32, 54]
+    assert res.phases == 64
+    assert len(res.schedule.visits) == 616

@@ -126,6 +126,13 @@ class TestPointCost:
         with pytest.raises(ValueError):
             point_cost(s, 0, unit_triangle, float("nan"))
 
+    def test_one_gap_costs_that_gap_at_every_p(self):
+        # l^3 / l^2 rounds one ulp above this l; a cost is clamped to the largest gap
+        gap = 6.418191418076387
+        assert gap ** 3 / gap ** 2 == math.nextafter(gap, math.inf)
+        for p in (2.0, 3.0, 50.0, math.inf):
+            assert _cost_of_gaps([gap], p) == gap
+
     def test_weighted_objective_hand_trace(self, unit_triangle):
         s = Schedule((0, 1, 0, 2))
         # w_a*2 = 2, w_b*4 = 2, w_c*4 = 2
@@ -267,6 +274,16 @@ def test_point_cost_nondecreasing_in_p_at_every_distance_scale(seed, visits, sca
             assert lo <= hi * (1 + 1e-12)
         for p, cost in zip(ps, costs):
             assert cost == pytest.approx(scale * point_cost(s, x, unit, p), rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       scale=st.sampled_from([1.0, 1e-3, 1e-170, 1e-300, 1e3, 1e170, 1e300]),
+       p=st.sampled_from([2.0, 3.0, 50.0, 2000.0]))
+def test_finite_p_cost_never_above_the_largest_gap(gaps, scale, p):
+    """C_p <= C_inf bit for bit, also where powers leave the float range."""
+    gaps = [g * scale for g in gaps]
+    assert _cost_of_gaps(gaps, p) <= _cost_of_gaps(gaps, math.inf) == max(gaps)
 
 
 @settings(max_examples=150, deadline=None)
